@@ -241,8 +241,13 @@ class DynamicHashTable(ABC):
         set repeatedly (remap accounting, replay harnesses) hash once
         here and feed :meth:`route_batch` / :meth:`lookup_words`.
         """
-        array = np.asarray(keys)
-        if array.dtype.kind in ("i", "u"):
+        try:
+            array = np.asarray(keys)
+        except ValueError:
+            # A ragged batch (a tuple among scalars) is no integer
+            # array; the element-wise path rejects its unsupported keys.
+            array = None
+        if array is not None and array.dtype.kind in "iu" and array.ndim == 1:
             return self._family.words(array)
         return np.fromiter(
             (self._family.word(key) for key in keys),

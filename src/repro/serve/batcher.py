@@ -7,10 +7,11 @@ into the other: concurrent get/put/delete requests enqueue onto a
 batch fills (``max_batch``, default 256 keys) or the oldest request's
 deadline passes (``max_delay``, default 1 ms) -- the classic
 size-or-deadline coalescing loop.  A flushed batch is dispatched through
-the data plane's vectorized paths (``route_batch`` / ``lookup_words``
-under :meth:`~repro.store.DataPlane.get_many` and
-:meth:`~repro.store.DataPlane.put_many`), with the
-:class:`~repro.serve.cache.HotKeyCache` absorbing hot reads first.
+the data plane's bulk ops (:meth:`~repro.store.DataPlane.get_many`,
+:meth:`~repro.store.DataPlane.put_many` and
+:meth:`~repro.store.DataPlane.delete_many`, each one routing pass and
+one owner sort), with the :class:`~repro.serve.cache.HotKeyCache`
+absorbing hot reads first.
 
 Batch visibility semantics (what a mixed batch observes) are fixed and
 documented: **reads observe the pre-batch state**; then deletes apply;
@@ -347,10 +348,3 @@ class MicroBatcher:
             self._arrival.set()
         if self._burst is not None:
             self._burst.set()
-
-
-def _resolve(request: Request, result: Any) -> None:
-    """Resolve a request's future, tolerating sync use and cancellation."""
-    future = request.future
-    if future is not None and not future.done():
-        future.set_result(result)

@@ -35,7 +35,7 @@ against an ``OrderedDict`` reference on random op schedules.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,16 +188,16 @@ class HotKeyCache:
     def put_many(self, keys: Sequence[Key], values: Sequence[Any]) -> None:
         """Batched :meth:`put`, bit-equivalent to the sequential loop.
 
-        The common serving shapes are columnar: when no eviction can
-        occur (every key already cached, or enough free room for the
-        batch's new keys) the whole batch is one slot sweep, one value
-        scatter and one bulk stamp assignment.  Only a batch that must
-        evict takes the slot-at-a-time path -- and that path picks its
-        victims from one ``argpartition`` of the stamp column instead
-        of a per-eviction scan, while reproducing the exact sequential
-        eviction schedule (a key evicted mid-batch and re-put later is
-        re-inserted, and every eviction event counts, just as scalar
-        puts would).
+        The whole batch is one slot sweep, one key scatter for its new
+        keys, one value scatter and one bulk stamp assignment.  New
+        keys take the free slots first (in the order scalar puts pop
+        them), then -- on a full cache -- the victims of
+        :meth:`_victims`: the batch's eviction count of least recent
+        entries, picked by one ``argpartition`` over the stamp column
+        and consumed oldest first, exactly as sequential evictions
+        would take them.  Only when that shortcut could diverge from
+        the sequential schedule does the batch replay it slot by slot
+        (:meth:`_put_many_evicting`).
         """
         n = len(keys)
         if n != len(values):
@@ -214,36 +214,73 @@ class HotKeyCache:
         new_positions = np.flatnonzero(slots < 0)
         if new_positions.size:
             new_keys = [keys[position] for position in new_positions.tolist()]
-            if len(slots_map) + len(set(new_keys)) > self._capacity:
-                self._put_many_evicting(keys, values)
-                return
+            fresh = list(dict.fromkeys(new_keys))
+            overflow = len(slots_map) + len(fresh) - self._capacity
+            if overflow > 0:
+                victims = self._victims(overflow, slots)
+                if victims is None:
+                    self._put_many_evicting(keys, values)
+                    return
+                for key in self._keys[victims]:
+                    del slots_map[key]
+                # Popped after the free slots, oldest first.
+                self._free[:0] = victims[::-1].tolist()
+                self.evictions += overflow
             free = self._free
-            keys_column = self._keys
-            for position, key in zip(new_positions.tolist(), new_keys):
-                slot = slots_map.get(key, -1)
-                if slot < 0:
-                    slot = free.pop()
-                    slots_map[key] = slot
-                    keys_column[slot] = key
-                slots[position] = slot
-        values_column = self._values
-        for slot, value in zip(slots.tolist(), values):
-            values_column[slot] = value
+            cut = len(free) - len(fresh)
+            targets = free[cut:][::-1]
+            del free[cut:]
+            slots_map.update(zip(fresh, targets))
+            self._keys[targets] = np.fromiter(fresh, dtype=object, count=len(fresh))
+            slots[new_positions] = np.fromiter(
+                map(slots_map.__getitem__, new_keys),
+                dtype=np.int64,
+                count=len(new_keys),
+            )
+        # ``fromiter`` builds a flat object array, so tuple and array
+        # values stay whole; repeated keys resolve last-write-wins, as
+        # sequential puts would.
+        self._values[slots] = np.fromiter(values, dtype=object, count=n)
         self._stamps[slots] = np.arange(
             self._clock, self._clock + n, dtype=np.int64
         )
         self._clock += n
 
+    def _victims(self, overflow: int, slots: np.ndarray) -> Optional[np.ndarray]:
+        """The ``overflow`` least recent entries, oldest first -- or None.
+
+        Free slots park at ``int64 max``, so one ``argpartition`` over
+        the raw stamp column yields the lowest live stamps.  Sequential
+        puts evict exactly these, in this order, provided every
+        eviction finds a pre-batch entry the batch has not refreshed:
+        the batch only ever stamps above every pre-batch stamp, so the
+        LRU entry at each eviction is the next of them.  Two cases
+        break that and return None: the batch evicts more entries than
+        the cache holds (capacity below the batch's new keys), or it
+        refreshes one of the would-be victims (``slots`` are the
+        batch's resolved slots, -1 for new keys) -- sequentially that
+        entry is either kept or evicted and re-inserted, depending on
+        where in the batch its refresh falls.
+        """
+        if overflow > len(self._slots):
+            return None
+        stamps = self._stamps
+        victims = np.argpartition(stamps, overflow - 1)[:overflow]
+        refreshed = slots[slots >= 0]
+        if refreshed.size and stamps[refreshed].min() <= stamps[victims].max():
+            return None
+        return victims[np.argsort(stamps[victims])]
+
     def _put_many_evicting(
         self, keys: Sequence[Key], values: Sequence[Any]
     ) -> None:
-        """The eviction regime of :meth:`put_many` (exact LRU schedule).
+        """:meth:`put_many`'s exact fallback: the sequential LRU replay.
 
-        Victim order is precomputed once: the batch can evict at most
-        ``len(keys)`` entries and skip at most ``len(keys)`` refreshed
-        ones, so the ``2n + 1`` lowest pre-batch stamps (one
-        ``argpartition``) cover every victim the sequential schedule
-        can reach.  Entries refreshed by the batch are recognised by
+        Runs only where :meth:`_victims` declines.  Victim order is
+        precomputed once: the batch can evict at most ``len(keys)``
+        entries and skip at most ``len(keys)`` refreshed ones, so the
+        ``2n + 1`` lowest pre-batch stamps (one ``argpartition``) cover
+        every victim the sequential schedule can reach.  Entries refreshed by the batch are recognised by
         their stamp having moved past the batch's start tick and
         skipped; should the pre-batch pool run dry (capacity smaller
         than the batch), victims continue among batch-stamped slots in
@@ -346,10 +383,6 @@ class HotKeyCache:
                 evicted += 1
         self.invalidations += evicted
         return evicted
-
-    def invalidate_keys(self, keys: Iterable[Key]) -> int:
-        """Alias of :meth:`invalidate_many` (the pre-columnar name)."""
-        return self.invalidate_many(keys)
 
     def flush(self) -> int:
         """Drop everything; returns the number of entries dropped.

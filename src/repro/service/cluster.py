@@ -46,6 +46,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -57,7 +58,7 @@ from typing import (
 
 import numpy as np
 
-from ..errors import EmptyTableError, StateError, UnknownServerError
+from ..errors import StateError, UnknownServerError
 from ..hashfn import Key
 from ..hashing.base import DynamicHashTable
 from ..hashing.registry import TableSpec, make_table
@@ -68,6 +69,8 @@ from .router import (
     MembershipUpdate,
     Router,
     RouterObserver,
+    _fail_over,
+    _fail_over_word,
     _record_from_state,
     _unique,
 )
@@ -267,19 +270,29 @@ class ClusterRouter:
         """Lift a previous :meth:`avoid` flag (no-op when not flagged)."""
         self._avoided.discard(server_id)
 
-    def _failover_word(self, word: int, avoided: Set[Key]) -> Key:
-        """Serve one pre-hashed word around the avoided servers."""
-        table = self._shards[self.shard_of_word(word)].table
-        k = min(table.server_count, len(avoided) + 1)
-        for slot in table.route_word_replicas(word, k):
-            server_id = table.server_ids[int(slot)]
-            if server_id not in avoided:
-                return server_id
-        raise EmptyTableError(
-            "every candidate server for word {} is in the avoid set".format(
-                word
+    def _avoid_set(self, avoid: Optional[Iterable[Key]]) -> Set[Key]:
+        """The persistent avoid set merged with a per-call ``avoid``."""
+        return self._avoided if avoid is None else self._avoided | set(avoid)
+
+    def _by_shard(
+        self, words: np.ndarray, ids: Tuple[Key, ...]
+    ) -> Iterator[Tuple[np.ndarray, DynamicHashTable, np.ndarray]]:
+        """Yield ``(rows, table, to_fleet)`` for each shard owning some words.
+
+        ``to_fleet`` maps the shard table's slots to positions in
+        ``ids``: every shard of a synced fleet holds the same servers,
+        so a server keeps one fleet index whichever shard routes to it.
+        """
+        fleet = {server_id: position for position, server_id in enumerate(ids)}
+        shards = self.shards_of_words(words)
+        for shard_index in np.unique(shards).tolist():
+            table = self._shards[shard_index].table
+            to_fleet = np.fromiter(
+                (fleet[server_id] for server_id in table.server_ids),
+                dtype=np.int64,
+                count=table.server_count,
             )
-        )
+            yield np.flatnonzero(shards == shard_index), table, to_fleet
 
     # -- routing -----------------------------------------------------------
 
@@ -300,6 +313,47 @@ class ClusterRouter:
         """Batched :meth:`assign`: raw shard fan-out, avoid-blind."""
         return self.route_words(self.words_of_keys(keys))
 
+    def owner_indices(
+        self,
+        keys: Sequence[Key],
+        avoid: Optional[Iterable[Key]] = None,
+        failover: bool = True,
+    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
+        """Batched owners as fleet indices: ``ids[index[i]]`` owns ``keys[i]``.
+
+        Same contract as :meth:`Router.owner_indices`, with ``ids`` the
+        fleet (:attr:`server_ids`): the batch is hashed once and fanned
+        out by :meth:`_index_words`.
+        """
+        return self._index_words(self.words_of_keys(keys), avoid, failover)
+
+    def _index_words(
+        self,
+        words: np.ndarray,
+        avoid: Optional[Iterable[Key]] = None,
+        failover: bool = True,
+    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
+        """:meth:`owner_indices` over pre-hashed words.
+
+        Each shard routes its slice through its own table kernel and,
+        with ``failover``, serves its avoided primaries from their
+        first healthy replica within the shard; the shard's slots then
+        become fleet indices through one integer gather.
+        """
+        words = np.asarray(words, dtype=np.uint64)
+        ids = self.server_ids
+        index = np.empty(words.size, dtype=np.int64)
+        if words.size == 0:
+            return index, ids
+        avoided = self._avoid_set(avoid) if failover else None
+        for rows, table, to_fleet in self._by_shard(words, ids):
+            shard_words = words[rows]
+            slots = table.route_batch(shard_words)
+            if avoided:
+                slots = _fail_over(table, shard_words, slots, avoided)
+            index[rows] = to_fleet[slots]
+        return index, ids
+
     def route(self, key: Key, avoid: Optional[Iterable[Key]] = None) -> Key:
         """Route one key through its owning shard.
 
@@ -314,71 +368,29 @@ class ClusterRouter:
         word = self._family.word(key)
         table = self._shards[self.shard_of_word(word)].table
         primary = table.server_ids[table.route_word(word)]
-        avoided = (
-            self._avoided if avoid is None else self._avoided | set(avoid)
-        )
+        avoided = self._avoid_set(avoid)
         if primary not in avoided:
-            # The common case stays O(1): the replica walk is paid only
+            # The common case stays O(1): the replica batch is paid only
             # for keys whose primary is actually flagged.
             return primary
-        k = min(table.server_count, len(avoided) + 1)
-        for slot in table.route_word_replicas(word, k):
-            server_id = table.server_ids[int(slot)]
-            if server_id not in avoided:
-                return server_id
-        raise EmptyTableError(
-            "every candidate server for key {!r} is in the avoid set".format(
-                key
-            )
-        )
+        return _fail_over_word(table, word, avoided)
 
     def route_words(self, words: np.ndarray) -> np.ndarray:
-        """Route pre-hashed words, fanned out shard by shard.
-
-        Each shard's slice goes through that table's own batched kernel
-        (deduped inference for HD, array sweeps elsewhere); the only
-        Python-level loop is over the (few) shards.
-        """
-        words = np.asarray(words, dtype=np.uint64)
-        out = np.empty(words.size, dtype=object)
-        if words.size == 0:
-            return out
-        owners = self.shards_of_words(words)
-        for shard_index in np.unique(owners):
-            mask = owners == shard_index
-            out[mask] = self._shards[int(shard_index)].table.lookup_words(
-                words[mask]
-            )
-        return out
+        """Route pre-hashed words (avoid-blind), as server ids."""
+        index, ids = self._index_words(words, failover=False)
+        return np.asarray(ids, dtype=object)[index]
 
     def route_batch(
         self, keys: Sequence[Key], avoid: Optional[Iterable[Key]] = None
     ) -> np.ndarray:
-        """Route a key batch: hash once, fan out shard by shard.
+        """Batched :meth:`route` (avoid-aware), as server ids.
 
-        Avoid-aware, with the same contract as
-        :meth:`Router.route_batch`: the persistent avoid set and the
-        per-call ``avoid`` merge, the batch takes each shard's
-        vectorized kernel, and only keys whose primary is flagged pay
-        the per-key replica walk.
+        Same contract as :meth:`Router.route_batch`: the persistent
+        avoid set and the per-call ``avoid`` merge, and only keys whose
+        primary is flagged take the replica batch.
         """
-        words = self.words_of_keys(keys)
-        assigned = self.route_words(words)
-        avoided = (
-            self._avoided if avoid is None else self._avoided | set(avoid)
-        )
-        if not avoided:
-            return assigned
-        flagged = np.fromiter(
-            (server_id in avoided for server_id in assigned),
-            dtype=bool,
-            count=assigned.size,
-        )
-        for index in np.nonzero(flagged)[0]:
-            assigned[index] = self._failover_word(
-                int(words[index]), avoided
-            )
-        return assigned
+        index, ids = self.owner_indices(keys, avoid)
+        return np.asarray(ids, dtype=object)[index]
 
     def route_replicas(self, key: Key, k: int) -> Tuple[Key, ...]:
         """The key's ``k``-replica set, from its owning shard.
@@ -397,16 +409,12 @@ class ClusterRouter:
     def route_replicas_words(self, words: np.ndarray, k: int) -> np.ndarray:
         """Batched ``(n, k)`` replica sets over pre-hashed words."""
         words = np.asarray(words, dtype=np.uint64)
-        out = np.empty((words.size, k), dtype=object)
-        if words.size == 0:
-            return out
-        owners = self.shards_of_words(words)
-        for shard_index in np.unique(owners):
-            mask = owners == shard_index
-            out[mask] = self._shards[int(shard_index)].table.lookup_words_replicas(
-                words[mask], k
-            )
-        return out
+        ids = self.server_ids
+        index = np.empty((words.size, k), dtype=np.int64)
+        if words.size:
+            for rows, table, to_fleet in self._by_shard(words, ids):
+                index[rows] = to_fleet[table.route_replicas_batch(words[rows], k)]
+        return np.asarray(ids, dtype=object)[index]
 
     def route_replicas_batch(self, keys: Sequence[Key], k: int) -> np.ndarray:
         """Batched ``(len(keys), k)`` replica sets for a key batch."""

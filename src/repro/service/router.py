@@ -78,6 +78,58 @@ def _unique(ids: Iterable[Key]) -> Tuple[Key, ...]:
     return tuple(out)
 
 
+def _fail_over(
+    table: DynamicHashTable,
+    words: np.ndarray,
+    slots: np.ndarray,
+    avoided: Set[Key],
+) -> np.ndarray:
+    """``slots`` with every avoided primary moved to its first healthy replica.
+
+    One per-slot avoided mask, gathered at ``slots``, finds the flagged
+    rows; they take one replica batch of ``k = min(pool, len(avoided)
+    + 1)`` columns -- enough to hold a non-avoided server whenever one
+    exists -- and keep the first healthy column per row.  Rows of
+    :meth:`~repro.hashing.base.DynamicHashTable.route_replicas_batch`
+    are bit-exact with the scalar replica walk, so this serves each key
+    exactly where walking its replica set one server at a time would.
+    """
+    bad = np.fromiter(
+        (server_id in avoided for server_id in table.server_ids),
+        dtype=bool,
+        count=table.server_count,
+    )
+    flagged = np.flatnonzero(bad[slots])
+    if not flagged.size:
+        return slots
+    k = min(table.server_count, len(avoided) + 1)
+    replicas = table.route_replicas_batch(words[flagged], k)
+    healthy = ~bad[replicas]
+    first = healthy.argmax(axis=1)
+    rows = np.arange(flagged.size)
+    stuck = np.flatnonzero(~healthy[rows, first])
+    if stuck.size:
+        raise EmptyTableError(
+            "every candidate server for word {} is in the avoid set".format(
+                int(words[flagged[stuck[0]]])
+            )
+        )
+    slots = slots.copy()
+    slots[flagged] = replicas[rows, first]
+    return slots
+
+
+def _fail_over_word(table: DynamicHashTable, word: int, avoided: Set[Key]) -> Key:
+    """Scalar :func:`_fail_over`: the server that serves one routed word."""
+    slots = _fail_over(
+        table,
+        np.array([word], dtype=np.uint64),
+        np.array([table.route_word(word)]),
+        avoided,
+    )
+    return table.server_ids[int(slots[0])]
+
+
 def _spec_entry(item: Any) -> Tuple[Key, Optional[float]]:
     """``(server_id, weight-or-None)`` from a bare id or spec-like object.
 
@@ -346,22 +398,9 @@ class Router:
         """Lift a previous :meth:`avoid` flag (no-op when not flagged)."""
         self._avoided.discard(server_id)
 
-    def _failover_word(self, word: int, avoided: Set[Key]) -> Key:
-        """Serve one pre-hashed word around the avoided servers."""
-        table = self._table
-        primary = table.server_ids[table.route_word(word)]
-        if primary not in avoided:
-            return primary
-        k = min(table.server_count, len(avoided) + 1)
-        for slot in table.route_word_replicas(word, k):
-            server_id = table.server_ids[int(slot)]
-            if server_id not in avoided:
-                return server_id
-        raise EmptyTableError(
-            "every candidate server for word {} is in the avoid set".format(
-                word
-            )
-        )
+    def _avoid_set(self, avoid: Optional[Iterable[Key]]) -> Set[Key]:
+        """The persistent avoid set merged with a per-call ``avoid``."""
+        return self._avoided if avoid is None else self._avoided | set(avoid)
 
     # -- remap accounting --------------------------------------------------
 
@@ -537,9 +576,36 @@ class Router:
         """
         return self._table.lookup(key)
 
+    def owner_indices(
+        self,
+        keys: Sequence[Key],
+        avoid: Optional[Iterable[Key]] = None,
+        failover: bool = True,
+    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
+        """Batched owners as integers: ``ids[index[i]]`` owns ``keys[i]``.
+
+        The facade's one batch routing path: hash once, route to table
+        slots (``index`` is the slot array, ``ids`` the table's server
+        tuple) and, with ``failover``, serve every key whose primary is
+        avoided -- the persistent set plus any per-call ``avoid`` --
+        from its first non-avoided replica (:func:`_fail_over`).
+        ``failover=False`` is the avoid-blind :meth:`assign` path.
+        Callers group keys by the integer index and turn indices into
+        server ids only where ids leave the call.
+        """
+        table = self._table
+        words = table.words_of_keys(keys)
+        index = table.route_batch(words)
+        if failover:
+            avoided = self._avoid_set(avoid)
+            if avoided:
+                index = _fail_over(table, words, index, avoided)
+        return index, table.server_ids
+
     def assign_batch(self, keys: Sequence[Key]) -> np.ndarray:
-        """Batched :meth:`assign` through the table's kernel."""
-        return self._table.lookup_batch(keys)
+        """Batched :meth:`assign` (avoid-blind), as server ids."""
+        index, ids = self.owner_indices(keys, failover=False)
+        return np.asarray(ids, dtype=object)[index]
 
     def route(self, key: Key, avoid: Optional[Iterable[Key]] = None) -> Key:
         """Scalar lookup through the wrapped table.
@@ -548,45 +614,20 @@ class Router:
         per-call ``avoid``) are excluded: a key whose primary is flagged
         is served by its first non-flagged replica, with no membership
         change.  The common (nothing-flagged) case stays a straight
-        table lookup.
+        table lookup; a flagged one takes :func:`_fail_over` on one row.
         """
-        avoided = (
-            self._avoided
-            if avoid is None
-            else self._avoided | set(avoid)
-        )
+        avoided = self._avoid_set(avoid)
         if not avoided:
             return self._table.lookup(key)
         self._table._require_servers()
-        return self._failover_word(self._table.family.word(key), avoided)
+        return _fail_over_word(self._table, self._table.family.word(key), avoided)
 
     def route_batch(
         self, keys: Sequence[Key], avoid: Optional[Iterable[Key]] = None
     ) -> np.ndarray:
-        """Batched lookup through the wrapped table (avoid-aware).
-
-        The batch takes the table's vectorized kernel; only keys whose
-        primary is flagged pay the per-key replica walk.
-        """
-        avoided = (
-            self._avoided
-            if avoid is None
-            else self._avoided | set(avoid)
-        )
-        if not avoided:
-            return self._table.lookup_batch(keys)
-        words = self._table.words_of_keys(keys)
-        assigned = self._table.lookup_words(words)
-        flagged = np.fromiter(
-            (server_id in avoided for server_id in assigned),
-            dtype=bool,
-            count=assigned.size,
-        )
-        for index in np.nonzero(flagged)[0]:
-            assigned[index] = self._failover_word(
-                int(words[index]), avoided
-            )
-        return assigned
+        """Batched :meth:`route` (avoid-aware), as server ids."""
+        index, ids = self.owner_indices(keys, avoid)
+        return np.asarray(ids, dtype=object)[index]
 
     def route_replicas(self, key: Key, k: int) -> Tuple[Key, ...]:
         """The key's ``k``-replica set through the wrapped table.

@@ -2,12 +2,19 @@
 
 A :class:`DataPlane` owns one :class:`~repro.store.store.ServerStore`
 per server and addresses them through any routing facade exposing
-``route`` / ``route_batch`` / ``track`` -- a :class:`~repro.service.
-router.Router` or a :class:`~repro.service.cluster.ClusterRouter`.
-Reads and writes always consult the *current* routing state, which is
-exactly what makes live migration observable: after a resize epoch, a
-key that has been rerouted but not yet copied misses at its new owner
-until the migration executor commits it.
+``route`` / ``assign`` / ``owner_indices`` / ``track`` -- a
+:class:`~repro.service.router.Router` or a
+:class:`~repro.service.cluster.ClusterRouter`.  Reads and writes always
+consult the *current* routing state, which is exactly what makes live
+migration observable: after a resize epoch, a key that has been
+rerouted but not yet copied misses at its new owner until the migration
+executor commits it.
+
+The bulk ops group a batch by *integer* owner index: routing returns
+``(index, ids)``, one stable argsort plus ``bincount`` cuts the batch
+into per-owner chunks (:class:`_Groups`), and server ids appear only
+where they leave the call -- the store lookups and ``put_many``'s
+returned owners.
 
 Stores of servers that left the fleet are intentionally retained --
 their keys are stranded until a migration plan drains them -- and can
@@ -17,18 +24,22 @@ be dropped with :meth:`DataPlane.prune` once empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..hashfn import Key
-from .store import ServerStore
+from .store import ServerStore, is_numeric_batch
 
 __all__ = ["DataPlane", "FleetImbalance"]
 
 #: Sentinel distinguishing "stored None" from "absent".
 _MISSING = object()
+
+#: Accounted bytes of one machine-scalar key/value pair (8 + 8).
+_PAIR_NBYTES = 16
 
 
 def _load_ratio(actual: float, ideal: float) -> float:
@@ -45,6 +56,47 @@ def _ratio_vector(actual: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     out[loaded] = actual[loaded] / ideal[loaded]
     out[(~loaded) & (actual > 0)] = float("inf")
     return out
+
+
+class _Groups:
+    """One batch grouped by owner index: one stable sort plus ``bincount``.
+
+    ``order`` lists batch positions owner by owner, each owner's slice
+    in batch order -- so duplicate keys reach their store in sequence
+    and keep sequential semantics.  ``owners`` names the owner indices
+    that received keys, in index order; :meth:`split` cuts an aligned
+    sequence into their chunks.
+    """
+
+    def __init__(self, index: np.ndarray, owner_count: int):
+        self.order = np.argsort(index, kind="stable")
+        counts = np.bincount(index, minlength=owner_count)
+        owners = np.flatnonzero(counts)
+        stops = np.cumsum(counts[owners])
+        self._starts = stops - counts[owners]
+        self.owners: List[int] = owners.tolist()
+        self._bounds = list(zip(self._starts.tolist(), stops.tolist()))
+
+    def first_touch(self) -> List[int]:
+        """``owners`` in the order the batch first reaches them."""
+        firsts = self.order[self._starts]
+        return [self.owners[rank] for rank in np.argsort(firsts).tolist()]
+
+    def split(self, items: Sequence[Any]) -> Iterator[List[Any]]:
+        """``items`` permuted into owner order, one list per owner.
+
+        An array is gathered as an array and only each owner's chunk
+        becomes Python objects (builtins, which hash faster in the
+        store dicts than numpy scalars), so a million-key batch never
+        exists as a million Python ints at once.
+        """
+        if isinstance(items, np.ndarray):
+            ordered = items[self.order]
+            for start, stop in self._bounds:
+                yield ordered[start:stop].tolist()
+        else:
+            ordered = list(map(items.__getitem__, self.order.tolist()))
+            yield from (ordered[start:stop] for start, stop in self._bounds)
 
 
 @dataclass(frozen=True)
@@ -293,68 +345,79 @@ class DataPlane:
 
     # -- bulk operations ---------------------------------------------------
 
+    def _owner_stores(
+        self, groups: _Groups, ids: Tuple[Key, ...]
+    ) -> List[Optional[ServerStore]]:
+        """Each grouped owner's store (None where it has none yet)."""
+        stores = self._stores
+        return [stores.get(ids[owner]) for owner in groups.owners]
+
     def put_many(self, keys: Sequence[Key], values: Sequence[Any]) -> np.ndarray:
         """Write aligned batches; returns each key's owning server id.
 
-        One routed assignment pass, then one
-        :meth:`~repro.store.store.ServerStore.put_many` per owning
+        One routed assignment pass and one :class:`_Groups` sort, then
+        one :meth:`~repro.store.store.ServerStore.put_many` per owning
         server -- a batch landing on few servers (the common case at
-        fleet scale) pays per-store, not per-key, overhead.
+        fleet scale) pays per-store, not per-key, overhead.  The batch
+        is priced once: an all-numeric batch (every key and value a
+        machine scalar, one :func:`~repro.store.store.is_numeric_batch`
+        probe each) charges each store 16 bytes per pair without a
+        per-item pass.
         """
         if len(keys) != len(values):
             raise ValueError(
                 "put_many needs aligned batches, got {} keys and {} "
                 "values".format(len(keys), len(values))
             )
-        owners = self._router.assign_batch(keys)
-        # Iterate builtins, not numpy scalars: ndarray iteration boxes
-        # one numpy scalar per element, which then hashes slower in
-        # every store dict these loops feed.
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        assigned = owners.tolist() if isinstance(owners, np.ndarray) else owners
-        grouped: Dict[Key, Tuple[List[Key], List[Any]]] = {}
-        for key, value, server_id in zip(keys, values, assigned):
-            bucket = grouped.get(server_id)
-            if bucket is None:
-                bucket = grouped[server_id] = ([], [])
-            bucket[0].append(key)
-            bucket[1].append(value)
-        for server_id, (group_keys, group_values) in grouped.items():
-            self.store(server_id).put_many(group_keys, group_values)
+        index, ids = self._router.owner_indices(keys, failover=False)
+        groups = _Groups(index, len(ids))
+        stores = self._owner_stores(groups, ids)
+        if None in stores:
+            # Open new stores in first-touch order, as sequential puts do.
+            for owner in groups.first_touch():
+                self.store(ids[owner])
+            stores = self._owner_stores(groups, ids)
+        numeric = is_numeric_batch(keys) and is_numeric_batch(values)
+        for store, group_keys, group_values in zip(
+            stores, groups.split(keys), groups.split(values)
+        ):
+            store.put_many(
+                group_keys,
+                group_values,
+                _PAIR_NBYTES * len(group_keys) if numeric else None,
+            )
         self._mutations += len(keys)
-        return owners
+        return np.asarray(ids, dtype=object)[index]
 
     def get_many(self, keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
         """Batched routed reads: ``(values, found)`` aligned to ``keys``.
 
         ``found`` is a boolean mask; missing keys (including in-flight
         ones) leave ``None`` in ``values``.  Reads are grouped per
-        routed owner and served by one bulk store read each.
+        routed owner, served by one bulk store read each, and scattered
+        back into batch order with one fancy assignment.
         """
-        owners = self._router.route_batch(keys)
-        values = np.empty(len(keys), dtype=object)
-        found = np.zeros(len(keys), dtype=bool)
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        routed = owners.tolist() if isinstance(owners, np.ndarray) else owners
-        grouped: Dict[Key, Tuple[List[Key], List[int]]] = {}
-        for index, (key, server_id) in enumerate(zip(keys, routed)):
-            bucket = grouped.get(server_id)
-            if bucket is None:
-                bucket = grouped[server_id] = ([], [])
-            bucket[0].append(key)
-            bucket[1].append(index)
-        for server_id, (group_keys, indices) in grouped.items():
-            store = self._stores.get(server_id)
+        index, ids = self._router.owner_indices(keys)
+        groups = _Groups(index, len(ids))
+        gathered: List[Any] = []
+        hits: List[np.ndarray] = []
+        stores = self._owner_stores(groups, ids)
+        for store, group_keys in zip(stores, groups.split(keys)):
             if store is None:
+                gathered.extend(repeat(None, len(group_keys)))
+                hits.append(np.zeros(len(group_keys), dtype=bool))
                 continue
             group_values, group_found = store.get_many(group_keys)
-            found[np.asarray(indices, dtype=np.intp)] = group_found
-            for offset, index in enumerate(indices):
-                values[index] = group_values[offset]
+            gathered.extend(group_values)
+            hits.append(group_found)
+        n = len(index)
+        values = np.empty(n, dtype=object)
+        found = np.zeros(n, dtype=bool)
+        if hits:
+            # ``fromiter`` builds a flat object array, so tuple and
+            # array values stay whole (never broadcast into rows).
+            values[groups.order] = np.fromiter(gathered, dtype=object, count=n)
+            found[groups.order] = np.concatenate(hits)
         return values, found
 
     def delete_many(self, keys: Sequence[Key]) -> np.ndarray:
@@ -373,26 +436,18 @@ class DataPlane:
         deleted = np.zeros(n, dtype=bool)
         if n == 0:
             return deleted
-        owners = self._router.assign_batch(keys)
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        assigned = owners.tolist() if isinstance(owners, np.ndarray) else owners
-        grouped: Dict[Key, Tuple[List[Key], List[int]]] = {}
-        for index, (key, server_id) in enumerate(zip(keys, assigned)):
-            bucket = grouped.get(server_id)
-            if bucket is None:
-                bucket = grouped[server_id] = ([], [])
-            bucket[0].append(key)
-            bucket[1].append(index)
-        removed = 0
-        for server_id, (group_keys, indices) in grouped.items():
-            store = self._stores.get(server_id)
+        index, ids = self._router.owner_indices(keys, failover=False)
+        groups = _Groups(index, len(ids))
+        hits: List[np.ndarray] = []
+        stores = self._owner_stores(groups, ids)
+        for store, group_keys in zip(stores, groups.split(keys)):
             if store is None:
-                continue
-            hits = store.delete_many(group_keys)
-            deleted[np.asarray(indices, dtype=np.intp)] = hits.astype(bool)
-            removed += int(hits.sum())
-        self._mutations += removed
+                hits.append(np.zeros(len(group_keys), dtype=np.int64))
+            else:
+                hits.append(store.delete_many(group_keys))
+        removed = np.concatenate(hits)
+        deleted[groups.order] = removed.astype(bool)
+        self._mutations += int(removed.sum())
         return deleted
 
     # -- migration / accounting integration --------------------------------

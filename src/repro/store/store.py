@@ -39,6 +39,25 @@ MISSING = object()
 _MISSING = MISSING
 
 
+#: Machine scalars: 8 accounted bytes each.
+_SCALARS = (bool, int, float, np.integer, np.floating, np.bool_)
+
+#: Exact types of fixed cost, priced with one dict probe ahead of the
+#: ``isinstance`` chain (other types, subclasses included, walk it).
+_FIXED_NBYTES = {
+    type(None): 0,
+    bool: 8,
+    int: 8,
+    float: 8,
+    np.bool_: 8,
+    np.int32: 8,
+    np.int64: 8,
+    np.uint64: 8,
+    np.float32: 8,
+    np.float64: 8,
+}
+
+
 def item_nbytes(obj: Any) -> int:
     """Deterministic byte cost of one stored key or value.
 
@@ -47,13 +66,14 @@ def item_nbytes(obj: Any) -> int:
     *stable* accounting unit for throttles and capacity maths, not a
     faithful ``sys.getsizeof``.
     """
-    if obj is None:
-        return 0
+    cost = _FIXED_NBYTES.get(type(obj))
+    if cost is not None:
+        return cost
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)
     if isinstance(obj, str):
         return len(obj.encode("utf-8"))
-    if isinstance(obj, (bool, int, float, np.integer, np.floating, np.bool_)):
+    if isinstance(obj, _SCALARS):
         return 8
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
@@ -91,6 +111,10 @@ def is_numeric_batch(objs: Sequence[Any]) -> bool:
     """
     if isinstance(objs, np.ndarray):
         array = objs
+    elif len(objs) and not isinstance(objs[0], _SCALARS):
+        # A string (or other non-scalar) head settles it without
+        # building the batch-sized array.
+        return False
     else:
         try:
             array = np.asarray(objs)
@@ -286,12 +310,19 @@ class ServerStore:
         try:
             # All-present fast path: one C-level gather.
             if n > 1:
-                return list(itemgetter(*keys)(items)), np.ones(n, dtype=bool)
-            if n == 1:
-                return [items[keys[0]]], np.ones(1, dtype=bool)
-            return [], np.ones(0, dtype=bool)
+                values = list(itemgetter(*keys)(items))
+            elif n == 1:
+                values = [items[keys[0]]]
+            else:
+                values = []
         except KeyError:
             pass
+        else:
+            # ``empty`` + ``fill`` costs a third of ``np.ones`` at the
+            # few-key sizes the data plane's per-owner reads run at.
+            found = np.empty(n, dtype=bool)
+            found.fill(True)
+            return values, found
         missing = _MISSING
         values = list(map(items.get, keys, repeat(missing)))
         # Identity-only probes: stored values may be arrays, whose

@@ -85,20 +85,20 @@ class TestInvalidation:
         assert "a" not in cache
         assert cache.invalidations == 1
 
-    def test_invalidate_keys_counts_only_cached(self):
+    def test_invalidate_many_counts_only_cached(self):
         cache = HotKeyCache(8)
         for key in "abcd":
             cache.put(key, key)
-        evicted = cache.invalidate_keys(["a", "c", "x", "y"])
+        evicted = cache.invalidate_many(["a", "c", "x", "y"])
         assert evicted == 2
         assert cache.keys() == ("b", "d")
         assert cache.invalidations == 2
 
-    def test_invalidate_keys_leaves_rest_warm(self):
+    def test_invalidate_many_leaves_rest_warm(self):
         cache = HotKeyCache(8)
         for key in range(6):
             cache.put(key, key * 10)
-        cache.invalidate_keys([1, 3])
+        cache.invalidate_many([1, 3])
         for key in (0, 2, 4, 5):
             assert cache.peek(key) == key * 10
 

@@ -183,6 +183,74 @@ class TestOracleEquivalence:
             )
 
 
+def _filled(capacity, keys):
+    """A cache and its oracle, both holding ``keys`` (first = oldest)."""
+    cache, oracle = HotKeyCache(capacity), OracleLRU(capacity)
+    for key in keys:
+        value = object()
+        cache.put(key, value)
+        oracle.put(key, value)
+    return cache, oracle
+
+
+def _put_both(cache, oracle, keys):
+    values = [object() for __ in keys]
+    cache.put_many(keys, values)
+    for key, value in zip(keys, values):
+        oracle.put(key, value)
+    assert_equivalent(cache, oracle)
+
+
+class TestEvictionFastPath:
+    """Overflowing ``put_many``: ``argpartition`` victims vs the replay."""
+
+    def test_refreshed_key_among_the_victims(self):
+        # "a" is the oldest entry and would be the first victim, but the
+        # batch refreshes it after "x" has already evicted it: the
+        # sequential schedule re-inserts "a" and evicts two more.
+        cache, oracle = _filled(4, "abcd")
+        _put_both(cache, oracle, ["x", "a", "y"])
+        assert cache.keys() == ("d", "x", "a", "y")
+        assert cache.evictions == 3
+
+    def test_refresh_ahead_of_the_eviction_spares_the_entry(self):
+        cache, oracle = _filled(4, "abcd")
+        _put_both(cache, oracle, ["a", "x", "y"])
+        assert cache.keys() == ("d", "a", "x", "y")
+        assert cache.evictions == 2
+
+    def test_repeated_new_key_in_an_evicting_batch(self):
+        cache, oracle = _filled(4, "abcd")
+        _put_both(cache, oracle, ["x", "y", "x", "z", "y"])
+        assert cache.keys() == ("d", "x", "z", "y")
+        assert cache.evictions == 3
+
+    def test_partly_free_cache_fills_free_slots_before_evicting(self):
+        cache, oracle = _filled(5, "abc")
+        _put_both(cache, oracle, ["w", "b", "x", "y", "z"])
+        assert cache.keys() == ("w", "b", "x", "y", "z")
+        assert cache.evictions == 2
+
+    @pytest.mark.parametrize(
+        "batch", [["b"], ["b", "c"], ["a", "b"], ["b", "b"], ["b", "a", "b"]]
+    )
+    def test_capacity_one(self, batch):
+        cache, oracle = _filled(1, "a")
+        _put_both(cache, oracle, batch)
+
+    def test_plain_overflow_never_replays(self, monkeypatch):
+        def replay(*args):
+            raise AssertionError("a plain overflowing batch replayed")
+
+        monkeypatch.setattr(HotKeyCache, "_put_many_evicting", replay)
+        cache, oracle = _filled(8, range(8))
+        # New keys plus refreshes of entries younger than every victim.
+        _put_both(cache, oracle, [100, 7, 101, 6, 102, 100])
+        assert cache.evictions == 3
+        _put_both(cache, oracle, list(range(200, 208)))
+        assert cache.evictions == 11
+
+
 class TestBulkSurfaces:
     def test_get_many_shapes_and_defaults(self):
         cache = HotKeyCache(8)
@@ -209,11 +277,18 @@ class TestBulkSurfaces:
         with pytest.raises(ValueError, match="aligned"):
             cache.put_many(["a"], [1, 2])
 
-    def test_put_many_array_values_stay_intact(self):
-        # Stored values may be numpy arrays; the scatter must never
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [np.arange(3), np.arange(5)],
+            [np.arange(3), np.arange(3)],
+            [(1, 2), (3, 4)],
+        ],
+    )
+    def test_put_many_array_values_stay_intact(self, payload):
+        # Stored values may be arrays or tuples; the scatter must never
         # broadcast them elementwise.
         cache = HotKeyCache(4)
-        payload = [np.arange(3), np.arange(5)]
         cache.put_many(["a", "b"], payload)
         assert cache.peek("a") is payload[0]
         assert cache.peek("b") is payload[1]

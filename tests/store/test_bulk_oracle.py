@@ -1,0 +1,223 @@
+"""Data-plane bulk ops vs scalar loops: bit-exact on every output.
+
+``DataPlane.get_many`` / ``put_many`` / ``delete_many`` group a batch by
+integer owner index (one stable sort) and scatter results back with one
+fancy assignment.  This suite pins them to the scalar ``get`` / ``put``
+/ ``delete`` loops on two identically built planes, comparing after
+every step: the values and found mask, the returned owner ids, every
+store's contents and insertion order, the order stores were opened in,
+byte accounting and the mutation counter.
+
+Covered for every registered algorithm, behind a ``Router`` and a
+3-shard ``ClusterRouter``, with and without an avoided server: duplicate
+keys inside one batch, absent keys, a departed server's stranded store,
+mixed int/str/bytes keys as lists and as numpy batches, and tuple,
+ndarray and ``None`` values (which a naive object-array scatter would
+broadcast into).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.hashing import make_table, registered_algorithms
+from repro.service import ClusterRouter, Router
+from repro.store import DataPlane
+
+#: Constructor overrides keeping the expensive tables test-sized.
+LIGHT_CONFIGS = {
+    "hd": {"dim": 1_024, "codebook_size": 128},
+    "maglev": {"table_size": 509},
+}
+
+FLEET = tuple("srv-{}".format(index) for index in range(6))
+
+_ABSENT = object()
+
+
+def _plane(algorithm, sharded):
+    def table():
+        return make_table(algorithm, seed=5, **LIGHT_CONFIGS.get(algorithm, {}))
+
+    router = ClusterRouter(table, n_shards=3) if sharded else Router(table())
+    router.sync(FLEET)
+    return DataPlane(router)
+
+
+def _value(index):
+    """A fresh value object of one of the awkward shapes, by index."""
+    shape = index % 6
+    if shape == 0:
+        return (index, -index)
+    if shape == 1:
+        return np.arange(index % 4 + 1)
+    if shape == 2:
+        return None
+    if shape == 3:
+        return "v{}".format(index)
+    if shape == 4:
+        return index * 7
+    return [index]
+
+
+def _same(got, want):
+    # Values are passed to both planes as the same objects; numpy key
+    # or value batches may come back as builtins on one side and numpy
+    # scalars on the other, which compare equal.
+    if got is want:
+        return True
+    if isinstance(got, (np.ndarray, tuple, list)) or got is None:
+        return False
+    return got == want
+
+
+def assert_same_state(bulk, scalar):
+    assert bulk.mutation_count == scalar.mutation_count
+    assert bulk.total_bytes == scalar.total_bytes
+    assert list(bulk.stores) == list(scalar.stores)
+    for server_id, store in scalar.stores.items():
+        twin = bulk.stores[server_id]
+        assert twin.nbytes == store.nbytes
+        assert list(twin.keys()) == list(store.keys())
+        for (__, got), (__, want) in zip(twin.items(), store.items()):
+            assert _same(got, want)
+
+
+def _builtins(batch):
+    # The scalar API takes builtin keys; a numpy batch's elements are
+    # numpy scalars until ``tolist``.
+    return batch.tolist() if isinstance(batch, np.ndarray) else batch
+
+
+def scalar_put(plane, keys, values):
+    return [
+        plane.put(key, value)
+        for key, value in zip(_builtins(keys), _builtins(values))
+    ]
+
+
+def scalar_get(plane, keys):
+    values, found = [], []
+    for key in _builtins(keys):
+        value = plane.get(key, _ABSENT)
+        found.append(value is not _ABSENT)
+        values.append(None if value is _ABSENT else value)
+    return values, found
+
+
+def scalar_delete(plane, keys):
+    mask = []
+    for key in _builtins(keys):
+        try:
+            plane.delete(key)
+        except KeyError:
+            mask.append(False)
+        else:
+            mask.append(True)
+    return mask
+
+
+def check_put(bulk, scalar, keys, values):
+    owners = bulk.put_many(keys, values)
+    assert owners.dtype == object
+    assert list(owners) == scalar_put(scalar, keys, values)
+    assert_same_state(bulk, scalar)
+
+
+def check_get(bulk, scalar, keys):
+    values, found = bulk.get_many(keys)
+    want_values, want_found = scalar_get(scalar, keys)
+    assert values.shape == found.shape == (len(keys),)
+    assert found.dtype == bool
+    assert found.tolist() == want_found
+    for got, want in zip(values, want_values):
+        assert _same(got, want)
+    assert_same_state(bulk, scalar)
+
+
+def check_delete(bulk, scalar, keys):
+    deleted = bulk.delete_many(keys)
+    assert deleted.dtype == bool
+    assert deleted.tolist() == scalar_delete(scalar, keys)
+    assert_same_state(bulk, scalar)
+
+
+def _mixed_keys():
+    ints = list(range(-5, 25))
+    strs = ["k{}".format(index) for index in range(15)]
+    raw = [bytes([65 + index, 66]) for index in range(15)]
+    return ints + strs + raw
+
+
+@pytest.mark.parametrize("avoid", [False, True], ids=["healthy", "avoided"])
+@pytest.mark.parametrize("sharded", [False, True], ids=["router", "cluster"])
+@pytest.mark.parametrize("algorithm", sorted(registered_algorithms()))
+def test_bulk_ops_match_scalar_loops(algorithm, sharded, avoid):
+    bulk, scalar = _plane(algorithm, sharded), _plane(algorithm, sharded)
+    stored = _mixed_keys()
+    values = [_value(index) for index in range(len(stored))]
+
+    # Every store opens here, in first-touch order on both planes.
+    check_put(bulk, scalar, stored, values)
+
+    # A departure strands the leaver's store; an avoided server makes
+    # reads fail over (and miss) while writes keep their assignment.
+    for plane in (bulk, scalar):
+        plane.router.sync(FLEET[:-1])
+        if avoid:
+            plane.router.avoid(FLEET[1])
+
+    # Overwrites, new keys and in-batch duplicates (last write wins).
+    batch = stored[::3] + ["fresh", b"fresh", 999, stored[0], "fresh"]
+    fresh = [_value(100 + index) for index in range(len(batch))]
+    check_put(bulk, scalar, batch, fresh)
+
+    # Present, stranded, absent and repeated keys, as a list and as a
+    # numpy object batch.
+    probe = stored + ["ghost", b"ghost", 10_000, stored[4], stored[4], "fresh"]
+    check_get(bulk, scalar, probe)
+    check_get(bulk, scalar, np.asarray(probe, dtype=object))
+
+    # Deletes: present, absent, stranded and a duplicate consumed by its
+    # first occurrence.
+    doomed = stored[1::4] + ["ghost", stored[1], 999, 999]
+    check_delete(bulk, scalar, doomed)
+    check_delete(bulk, scalar, np.asarray(stored[2::5], dtype=object))
+
+    # Equal-shape values: ``np.asarray`` turns a list of them into a 2-d
+    # array, which a scatter built on it would try to broadcast.
+    for shaped in ([(i, -i) for i in range(8)], [np.arange(3)] * 8):
+        check_put(bulk, scalar, stored[:8], shaped)
+        check_get(bulk, scalar, stored[:8])
+
+    # Integer numpy batches: the all-numeric pricing path.
+    numbers = np.arange(-3, 40, dtype=np.int64)
+    numbers[5] = numbers[6]  # a duplicate inside the numeric batch
+    check_put(bulk, scalar, numbers, numbers * 3)
+    check_get(bulk, scalar, numbers)
+    check_delete(bulk, scalar, numbers[::2])
+    check_get(bulk, scalar, list(range(-3, 40)))
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["router", "cluster"])
+def test_unsupported_keys_raise_like_the_scalar_path(sharded):
+    bulk, scalar = _plane("consistent", sharded), _plane("consistent", sharded)
+    with pytest.raises(TypeError):
+        scalar.put((1, 2), "v")
+    for keys in ([(1, 2), (3, 4)], [1, (2, 3)]):
+        with pytest.raises(TypeError):
+            bulk.put_many(keys, ["a", "b"])
+        with pytest.raises(TypeError):
+            bulk.get_many(keys)
+        with pytest.raises(TypeError):
+            bulk.delete_many(keys)
+    assert_same_state(bulk, scalar)
+
+
+def test_empty_batches_touch_nothing():
+    bulk, scalar = _plane("consistent", False), _plane("consistent", False)
+    check_put(bulk, scalar, [], [])
+    check_get(bulk, scalar, [])
+    check_delete(bulk, scalar, [])
+    assert not bulk.stores
