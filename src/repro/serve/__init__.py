@@ -29,7 +29,6 @@ from .batcher import (
     DEFAULT_MAX_DELAY,
     MicroBatcher,
     Request,
-    RequestQueue,
 )
 from .cache import DEFAULT_CAPACITY, HotKeyCache
 from .frontend import EpochInvalidator, ServingFrontend
@@ -43,7 +42,6 @@ __all__ = [
     "HotKeyCache",
     "MicroBatcher",
     "Request",
-    "RequestQueue",
     "ServingFrontend",
     "ServingMetrics",
     "ServingSnapshot",

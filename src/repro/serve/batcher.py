@@ -2,9 +2,9 @@
 
 The bench shows batched routing is 10-100x the scalar path, but clients
 issue single-key operations.  The :class:`MicroBatcher` converts one
-into the other: concurrent get/put/delete requests enqueue onto a
-:class:`RequestQueue` and are flushed as one micro-batch when either the
-batch fills (``max_batch``, default 256 keys) or the oldest request's
+into the other: concurrent get/put/delete requests enqueue onto a FIFO
+``deque`` and are flushed as one micro-batch when either the batch
+fills (``max_batch``, default 256 keys) or the oldest request's
 deadline passes (``max_delay``, default 1 ms) -- the classic
 size-or-deadline coalescing loop.  A flushed batch is dispatched through
 the data plane's bulk ops (:meth:`~repro.store.DataPlane.get_many`,
@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from itertools import repeat, starmap
+from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from ..hashfn import Key
 from .cache import HotKeyCache
 from .metrics import ServingMetrics
 
-__all__ = ["Request", "RequestQueue", "MicroBatcher"]
+__all__ = ["Request", "MicroBatcher"]
 
 #: Sentinel distinguishing "stored None" from "absent".
 _MISSING = object()
@@ -54,54 +55,42 @@ DEFAULT_MAX_DELAY = 0.001
 
 _OPS = ("get", "put", "delete")
 
+#: C-level field getters for mapping over a batch of :class:`Request`.
+_KEY, _VALUE, _FUTURE, _ENQUEUED = map(itemgetter, range(1, 5))
 
-@dataclass(slots=True)
-class Request:
+
+def _unknown_op(op: str) -> ValueError:
+    return ValueError("unknown op {!r}; expected one of {}".format(op, _OPS))
+
+
+class Request(namedtuple("Request", "op key value future enqueued_at")):
     """One enqueued single-key operation awaiting its micro-batch.
 
-    ``__slots__``-backed: a saturated front-end materialises one of
-    these per in-flight request, and the dict-free layout keeps both
-    allocation and the dispatch loop's attribute reads cheap.
+    A tuple: a saturated front-end builds one per request, and
+    :meth:`MicroBatcher.submit` (which has validated ``op`` already)
+    builds it with ``tuple.__new__``, skipping this constructor's check.
     """
 
-    op: str
-    key: Key
-    value: Any = None
-    future: Optional["asyncio.Future"] = None
-    enqueued_at: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(
-                "unknown op {!r}; expected one of {}".format(self.op, _OPS)
-            )
+    def __new__(
+        cls,
+        op: str,
+        key: Key,
+        value: Any = None,
+        future: Optional["asyncio.Future"] = None,
+        enqueued_at: float = 0.0,
+    ):
+        if op not in _OPS:
+            raise _unknown_op(op)
+        return tuple.__new__(cls, (op, key, value, future, enqueued_at))
 
 
-@dataclass
-class RequestQueue:
-    """FIFO of pending requests; the batcher flushes prefixes of it."""
-
-    _items: deque = field(default_factory=deque)
-
-    def append(self, request: Request) -> None:
-        self._items.append(request)
-
-    def head(self) -> Request:
-        """The oldest pending request (whose deadline drives the flush)."""
-        return self._items[0]
-
-    def take(self, count: int) -> List[Request]:
-        """Dequeue up to ``count`` requests, FIFO."""
-        taken = []
-        while self._items and len(taken) < count:
-            taken.append(self._items.popleft())
-        return taken
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
+def _resolve(futures, results) -> None:
+    """Resolve each live future; a cancelled one is skipped."""
+    for future, result in zip(futures, results):
+        if future is not None and not future.done():
+            future.set_result(result)
 
 
 class MicroBatcher:
@@ -126,11 +115,16 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
         self._clock = clock
-        self._queue = RequestQueue()
+        self._queue: deque = deque()
         self._running = False
         self._stop_requested = False
         self._arrival: Optional[asyncio.Event] = None
         self._burst: Optional[asyncio.Event] = None
+        # True only while run() awaits ``_arrival`` (empty queue) or
+        # ``_burst`` (a deadline), so submit() sets an event at most
+        # once per wait instead of once per request.
+        self._parked = False
+        self._timing = False
 
     # -- introspection ----------------------------------------------------
 
@@ -222,11 +216,11 @@ class MicroBatcher:
 
         Op order realises the documented batch semantics: every read
         observes the pre-batch state, then deletes apply, then puts.
-        The batch is partitioned into per-op request arrays once, each
-        op is served by one bulk call, futures resolve in tight
-        slot-aligned loops, and the whole batch's latencies are one
-        vectorized subtract into
-        :meth:`~repro.serve.metrics.ServingMetrics.observe_latencies`.
+        One pass partitions the batch by op, each op is served by one
+        bulk call, futures resolve in one slot-aligned loop per op (a
+        cancelled future is skipped; its batch-mates still resolve),
+        and the whole batch's latencies are one vectorized subtract
+        into :meth:`~repro.serve.metrics.ServingMetrics.observe_latencies`.
         """
         if not batch:
             return
@@ -236,43 +230,32 @@ class MicroBatcher:
         puts: List[Request] = []
         buckets = {"get": gets.append, "delete": deletes.append, "put": puts.append}
         for request in batch:
-            buckets[request.op](request)
+            buckets[request[0]](request)
         if gets:
-            values, found = self.serve_gets([request.key for request in gets])
-            found_list = found.tolist()
-            for request, value, present in zip(gets, values, found_list):
-                future = request.future
-                if future is not None and not future.done():
-                    future.set_result((present, value))
+            values, found = self.serve_gets(list(map(_KEY, gets)))
+            _resolve(map(_FUTURE, gets), zip(found.tolist(), values.tolist()))
         if deletes:
-            removed = self.serve_deletes([request.key for request in deletes])
-            for request, present in zip(deletes, removed.tolist()):
-                future = request.future
-                if future is not None and not future.done():
-                    future.set_result(present)
+            removed = self.serve_deletes(list(map(_KEY, deletes)))
+            _resolve(map(_FUTURE, deletes), removed.tolist())
         if puts:
-            owners = self.serve_puts(
-                [request.key for request in puts],
-                [request.value for request in puts],
+            owners = self.serve_puts(list(map(_KEY, puts)), list(map(_VALUE, puts)))
+            _resolve(
+                map(_FUTURE, puts),
+                owners.tolist() if isinstance(owners, np.ndarray) else owners,
             )
-            owner_list = owners.tolist() if isinstance(owners, np.ndarray) else owners
-            for request, owner in zip(puts, owner_list):
-                future = request.future
-                if future is not None and not future.done():
-                    future.set_result(owner)
         now = self._clock()
         self._metrics.observe_ops(gets=len(gets), puts=len(puts), deletes=len(deletes))
         self._metrics.observe_batch(len(batch), busy_seconds=now - started)
         enqueued = np.fromiter(
-            (request.enqueued_at for request in batch),
-            dtype=np.float64,
-            count=len(batch),
+            map(_ENQUEUED, batch), dtype=np.float64, count=len(batch)
         )
         self._metrics.observe_latencies(now - enqueued)
 
     def flush(self) -> int:
-        """Dispatch one micro-batch from the queue head; returns its size."""
-        batch = self._queue.take(self.max_batch)
+        """Dispatch one micro-batch, the queue's FIFO prefix; returns its size."""
+        queue = self._queue
+        count = min(self.max_batch, len(queue))
+        batch = list(starmap(queue.popleft, repeat((), count)))
         self.dispatch(batch)
         return len(batch)
 
@@ -286,24 +269,25 @@ class MicroBatcher:
     # -- asyncio layer -----------------------------------------------------
 
     def submit(self, op: str, key: Key, value: Any = None) -> "asyncio.Future":
-        """Enqueue one operation; the future resolves at batch dispatch.
+        """Enqueue one operation now; the future resolves at batch dispatch.
 
-        Must be called from a running event loop.  Resolution values:
+        Must be called from a running event loop.  An unknown ``op``
+        raises ``ValueError`` and enqueues nothing.  Resolution values:
         ``get`` -> ``(found, value)``, ``put`` -> owning server id,
         ``delete`` -> deleted bool.
         """
-        future = asyncio.get_running_loop().create_future()
-        request = Request(
-            op=op,
-            key=key,
-            value=value,
-            future=future,
-            enqueued_at=self._clock(),
-        )
-        self._queue.append(request)
-        if self._arrival is not None:
+        if op not in _OPS:
+            raise _unknown_op(op)
+        # What the default loop's ``create_future()`` builds, minus its
+        # Python frame: this line runs once per request.
+        future = asyncio.Future(loop=asyncio.get_running_loop())
+        queue = self._queue
+        queue.append(tuple.__new__(Request, (op, key, value, future, self._clock())))
+        if self._parked:
+            self._parked = False
             self._arrival.set()
-        if self._burst is not None and len(self._queue) >= self.max_batch:
+        elif self._timing and len(queue) >= self.max_batch:
+            self._timing = False
             self._burst.set()
         return future
 
@@ -314,29 +298,35 @@ class MicroBatcher:
         self._running = True
         self._arrival = asyncio.Event()
         self._burst = asyncio.Event()
+        queue = self._queue
         try:
             # ``_stop_requested`` covers a stop() issued between task
             # creation and the loop's first iteration, which a bare
             # ``_running`` flag would lose.
             while self._running and not self._stop_requested:
-                if not self._queue:
+                if not queue:
                     self._arrival.clear()
+                    self._parked = True
                     await self._arrival.wait()
                     continue
-                deadline = self._queue.head().enqueued_at + self.max_delay
-                while self._running and len(self._queue) < self.max_batch:
+                deadline = queue[0].enqueued_at + self.max_delay
+                while self._running and len(queue) < self.max_batch:
                     remaining = deadline - self._clock()
                     if remaining <= 0:
                         break
                     self._burst.clear()
+                    self._timing = True
                     try:
                         await asyncio.wait_for(self._burst.wait(), timeout=remaining)
                     except asyncio.TimeoutError:
                         break
+                    finally:
+                        self._timing = False
                 self.flush()
         finally:
             self._running = False
             self._stop_requested = False
+            self._parked = self._timing = False
             self._arrival = None
             self._burst = None
 

@@ -155,12 +155,16 @@ class ServingFrontend:
         return self._task
 
     async def stop(self) -> None:
-        """Flush everything pending, then stop the flush loop."""
-        self._batcher.drain()
-        self._batcher.stop()
+        """Stop the flush loop, then serve everything still pending.
+
+        The drain runs after the loop exits, so a request submitted while
+        ``stop()`` awaits the loop is served before it returns.
+        """
         if self._task is not None:
+            self._batcher.stop()
             await self._task
             self._task = None
+        self._batcher.drain()
 
     def close(self) -> None:
         """Detach the epoch invalidators from their routers."""
@@ -169,20 +173,23 @@ class ServingFrontend:
         self._invalidators.clear()
 
     # -- client API --------------------------------------------------------
+    # ``lookup``/``put``/``delete`` enqueue when called and return the
+    # future to await.  They read ``self._batcher.submit`` on every call,
+    # so a wrapper patched onto the batcher instance takes effect.
 
     async def get(self, key: Key, default: Any = None) -> Any:
         """The value for ``key`` (or ``default``), via the micro-batch."""
         found, value = await self._batcher.submit("get", key)
         return value if found else default
 
-    async def lookup(self, key: Key) -> Tuple[bool, Any]:
-        """Like :meth:`get` but returns ``(found, value)`` explicitly."""
-        return await self._batcher.submit("get", key)
+    def lookup(self, key: Key) -> "asyncio.Future[Tuple[bool, Any]]":
+        """Like :meth:`get` but resolves to ``(found, value)`` explicitly."""
+        return self._batcher.submit("get", key)
 
-    async def put(self, key: Key, value: Any) -> Key:
+    def put(self, key: Key, value: Any) -> "asyncio.Future[Key]":
         """Store ``key``; resolves to the owning server id."""
-        return await self._batcher.submit("put", key, value)
+        return self._batcher.submit("put", key, value)
 
-    async def delete(self, key: Key) -> bool:
+    def delete(self, key: Key) -> "asyncio.Future[bool]":
         """Delete ``key``; resolves to whether it existed."""
-        return await self._batcher.submit("delete", key)
+        return self._batcher.submit("delete", key)

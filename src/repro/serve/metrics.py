@@ -8,23 +8,23 @@ samples.  :meth:`ServingMetrics.snapshot` condenses everything into a
 :class:`ServingSnapshot` with the operator-facing numbers: p50/p99
 latency, mean/max batch size, cache hit rate, sustained throughput.
 
-Latency samples are capped (default one million) so a long-running
-front-end cannot grow without bound; once the cap is hit, further
-samples still count toward totals but no longer join the percentile
-pool.
+Latency samples live in a preallocated ring holding the newest
+``max_samples`` (default 2**20, 8 MB), so a long-running front-end
+cannot grow without bound and its percentiles follow current traffic
+instead of freezing at the start-up window.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 __all__ = ["ServingMetrics", "ServingSnapshot"]
 
-#: Default ceiling on retained latency samples.
+#: Default ring size: the newest samples the percentiles are taken over.
 DEFAULT_MAX_SAMPLES = 1 << 20
 
 
@@ -80,7 +80,6 @@ class ServingMetrics:
     def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES):
         if max_samples < 1:
             raise ValueError("need room for at least one latency sample")
-        self._max_samples = int(max_samples)
         self.gets = 0
         self.puts = 0
         self.deletes = 0
@@ -93,7 +92,9 @@ class ServingMetrics:
         self.cache_flushes = 0
         self.busy_seconds = 0.0
         self._batch_buckets: Counter = Counter()
-        self._latencies: List[np.ndarray] = []
+        # Pages are committed as samples arrive, so an idle ring is cheap.
+        self._ring = np.empty(int(max_samples), dtype=np.float64)
+        self._head = 0
         self._samples = 0
 
     # -- feeding -----------------------------------------------------------
@@ -133,15 +134,19 @@ class ServingMetrics:
 
     def observe_latencies(self, seconds) -> None:
         """Add per-request latency samples (seconds; array or scalar)."""
-        samples = np.atleast_1d(np.asarray(seconds, dtype=np.float64))
-        if samples.size == 0:
-            return
-        room = self._max_samples - self._samples
-        if room <= 0:
-            return
-        samples = samples[:room]
-        self._latencies.append(samples)
-        self._samples += int(samples.size)
+        ring = self._ring
+        size = ring.size
+        samples = np.asarray(seconds, dtype=np.float64).ravel()[-size:]
+        count = samples.size
+        head = self._head
+        end = head + count
+        if end <= size:
+            ring[head:end] = samples
+        else:
+            ring[head:] = samples[: size - head]
+            ring[: end - size] = samples[size - head :]
+        self._head = end % size
+        self._samples = min(self._samples + count, size)
 
     # -- reading -----------------------------------------------------------
 
@@ -153,13 +158,9 @@ class ServingMetrics:
 
     def latency_percentiles(self, *quantiles: float) -> Tuple[float, ...]:
         """Latency percentiles in seconds (0.0 without samples)."""
-        if not self._latencies:
+        if not self._samples:
             return tuple(0.0 for __ in quantiles)
-        pool = (
-            self._latencies[0]
-            if len(self._latencies) == 1
-            else np.concatenate(self._latencies)
-        )
+        pool = self._ring[: self._samples]
         return tuple(float(np.percentile(pool, quantile)) for quantile in quantiles)
 
     def batch_histogram(self) -> Dict[int, int]:

@@ -1,11 +1,12 @@
 """Tests for the micro-batcher: dispatch core, semantics, asyncio loop."""
 
 import asyncio
+import random
 
 import pytest
 
 from repro.hashing import make_table
-from repro.serve import HotKeyCache, MicroBatcher, Request, RequestQueue
+from repro.serve import HotKeyCache, MicroBatcher, Request
 from repro.service import Router
 from repro.store import DataPlane
 
@@ -22,25 +23,19 @@ def build_batcher(**kwargs):
     return MicroBatcher(plane, **kwargs), plane
 
 
-class TestRequestQueue:
-    def test_fifo_take(self):
-        queue = RequestQueue()
-        for index in range(5):
-            queue.append(Request("get", index))
-        assert [request.key for request in queue.take(3)] == [0, 1, 2]
-        assert len(queue) == 2
-
-    def test_head_is_oldest(self):
-        queue = RequestQueue()
-        queue.append(Request("get", "old"))
-        queue.append(Request("get", "new"))
-        assert queue.head().key == "old"
-
-
 class TestRequest:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown op"):
             Request("frobnicate", "k")
+
+    def test_submit_rejects_unknown_op_and_enqueues_nothing(self):
+        async def scenario():
+            batcher, __ = build_batcher()
+            with pytest.raises(ValueError, match="unknown op"):
+                batcher.submit("frobnicate", "k")
+            assert batcher.pending == 0
+
+        asyncio.run(scenario())
 
 
 class TestValidation:
@@ -117,6 +112,28 @@ class TestBatchSemantics:
         assert batcher.metrics.requests == 2
         assert batcher.metrics.batches == 1
 
+    def test_cancelled_future_is_skipped_and_batch_mates_resolve(self):
+        async def scenario():
+            batcher, plane = build_batcher()
+            plane.put_many(["a", "b"], [1, 2])
+            futures = [
+                batcher.submit("get", "a"),
+                batcher.submit("get", "b"),
+                batcher.submit("delete", "a"),
+                batcher.submit("delete", "b"),
+                batcher.submit("put", "c", 3),
+                batcher.submit("put", "d", 4),
+            ]
+            for cancelled in futures[::2]:
+                cancelled.cancel()
+            assert batcher.drain() == 6
+            assert all(future.cancelled() for future in futures[::2])
+            assert futures[1].result() == (True, 2)
+            assert futures[3].result() is True
+            assert futures[5].result() == plane.router.route("d")
+
+        asyncio.run(scenario())
+
     def test_flush_takes_at_most_max_batch(self):
         batcher, __ = build_batcher(max_batch=4)
         for index in range(10):
@@ -125,6 +142,39 @@ class TestBatchSemantics:
         assert batcher.pending == 6
         assert batcher.drain() == 6
         assert batcher.pending == 0
+
+
+class TestFlushOrder:
+    def test_flush_takes_a_fifo_prefix(self):
+        async def scenario():
+            batcher, __ = build_batcher(max_batch=3)
+            batches = []
+            batcher.dispatch = batches.append
+            for index in range(5):
+                batcher.submit("get", index)
+            assert batcher.flush() == 3
+            assert batcher.pending == 2
+            assert batcher.drain() == 2
+            return [[request.key for request in batch] for batch in batches]
+
+        assert asyncio.run(scenario()) == [[0, 1, 2], [3, 4]]
+
+    def test_oldest_request_drives_the_deadline(self):
+        async def scenario():
+            now = [0.0]
+            batcher, __ = build_batcher(
+                max_batch=1_000, max_delay=10.0, clock=lambda: now[0]
+            )
+            old = batcher.submit("get", "old")
+            # The old request is long overdue; the new one has 10 s left.
+            now[0] = 100.0
+            new = batcher.submit("get", "new")
+            task = asyncio.get_running_loop().create_task(batcher.run())
+            await asyncio.wait_for(asyncio.gather(old, new), timeout=5.0)
+            batcher.stop()
+            await task
+
+        asyncio.run(scenario())
 
 
 class TestAsyncLoop:
@@ -183,6 +233,38 @@ class TestAsyncLoop:
             await asyncio.sleep(0)  # let run() start
             with pytest.raises(RuntimeError, match="already running"):
                 await batcher.run()
+            batcher.stop()
+            await task
+
+        asyncio.run(scenario())
+
+    def test_no_lost_wake_ups_under_random_arrivals(self):
+        # Producers arrive at random while the loop parks on an empty
+        # queue, waits out deadlines and flushes full batches: a missed
+        # wake-up leaves some future unresolved past the timeout.
+        rng = random.Random(20221014)
+        producers, requests = 300, 6
+        delays = [
+            [rng.choice((0.0, rng.random() * 0.002)) for __ in range(requests)]
+            for __ in range(producers)
+        ]
+
+        async def scenario():
+            batcher, __ = build_batcher(max_batch=8, max_delay=0.0005)
+            task = asyncio.get_running_loop().create_task(batcher.run())
+
+            async def producer(index):
+                for step, delay in enumerate(delays[index]):
+                    await asyncio.sleep(delay)
+                    op = ("put", "get", "delete")[(index + step) % 3]
+                    await batcher.submit(op, "k{}-{}".format(index % 50, step), step)
+
+            await asyncio.wait_for(
+                asyncio.gather(*(producer(index) for index in range(producers))),
+                timeout=30.0,
+            )
+            assert batcher.pending == 0
+            assert batcher.metrics.requests == producers * requests
             batcher.stop()
             await task
 

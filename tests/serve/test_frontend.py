@@ -1,6 +1,8 @@
 """Tests for the serving front-end and the epoch-exact invalidator."""
 
 import asyncio
+import gc
+import warnings
 
 from repro.hashing import make_table
 from repro.serve import EpochInvalidator, HotKeyCache, ServingFrontend, ServingMetrics
@@ -136,3 +138,58 @@ class TestServingFrontendAsync:
             frontend.close()
 
         asyncio.run(scenario())
+
+    def test_stop_serves_a_request_submitted_while_stopping(self):
+        async def scenario():
+            router, plane, __ = tracked_stack()
+            frontend = ServingFrontend(plane, max_batch=1_000, max_delay=60.0)
+            frontend.start()
+            await asyncio.sleep(0)  # let the flush loop park
+
+            async def late_caller():
+                # First runs while stop() awaits the flush loop.
+                return await frontend.put("late", 1)
+
+            late = asyncio.get_running_loop().create_task(late_caller())
+            await frontend.stop()
+            assert frontend.batcher.pending == 0
+            assert await asyncio.wait_for(late, timeout=5.0) in router.server_ids
+            assert plane.get("late") == 1
+            frontend.close()
+
+        asyncio.run(scenario())
+
+    def test_request_after_stop_is_served_by_the_next_start(self):
+        async def scenario():
+            __, plane, __ = tracked_stack()
+            frontend = ServingFrontend(plane, max_batch=16, max_delay=0.002)
+            frontend.start()
+            await frontend.stop()
+            parked = frontend.put("after-stop", 1)
+            await asyncio.sleep(0.01)
+            assert not parked.done() and frontend.batcher.pending == 1
+            frontend.start()
+            await asyncio.wait_for(parked, timeout=5.0)
+            await frontend.stop()
+            frontend.close()
+            return plane.get("after-stop")
+
+        assert asyncio.run(scenario()) == 1
+
+    def test_unawaited_put_is_still_served(self):
+        async def scenario():
+            __, plane, __ = tracked_stack()
+            frontend = ServingFrontend(plane, max_batch=16, max_delay=0.002)
+            frontend.start()
+            frontend.put("unawaited", 7)  # the future is dropped, never awaited
+            await asyncio.wait_for(asyncio.gather(frontend.lookup(0)), timeout=5.0)
+            stored = plane.get("unawaited", None)
+            await frontend.stop()
+            frontend.close()
+            return stored
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert asyncio.run(scenario()) == 7
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

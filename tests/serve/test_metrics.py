@@ -1,5 +1,8 @@
 """Tests for the serving metrics accumulator and snapshot."""
 
+from collections import deque
+
+import numpy as np
 import pytest
 
 from repro.serve import ServingMetrics
@@ -52,13 +55,28 @@ class TestLatencies:
         metrics = ServingMetrics()
         assert metrics.latency_percentiles(50.0, 99.0) == (0.0, 0.0)
 
-    def test_sample_pool_is_capped(self):
+    def test_sample_pool_is_capped_and_keeps_the_newest(self):
         metrics = ServingMetrics(max_samples=10)
         metrics.observe_latencies([1.0] * 8)
-        metrics.observe_latencies([2.0] * 8)  # only 2 join the pool
+        metrics.observe_latencies([2.0] * 8)  # wraps: the oldest 6 go
         assert metrics._samples == 10
-        metrics.observe_latencies([3.0])  # pool full: dropped
+        assert metrics.latency_percentiles(0.0, 50.0) == (1.0, 2.0)
+        # A late shift in latency moves p50 once it fills half the pool.
+        metrics.observe_latencies([3.0] * 6)
         assert metrics._samples == 10
+        assert metrics.latency_percentiles(50.0) == (3.0,)
+
+    def test_pool_is_the_newest_samples_across_wraps(self):
+        rng = np.random.default_rng(5)
+        metrics = ServingMetrics(max_samples=37)
+        newest = deque(maxlen=37)
+        for __ in range(200):
+            # Up to 59 samples: some calls alone overflow the pool.
+            batch = rng.random(int(rng.integers(0, 60)))
+            metrics.observe_latencies(batch)
+            newest.extend(batch.tolist())
+            expected = [float(np.percentile(list(newest), q)) for q in (0, 50, 100)]
+            assert metrics.latency_percentiles(0.0, 50.0, 100.0) == tuple(expected)
 
 
 class TestSnapshot:
