@@ -482,10 +482,8 @@ class DynamicHashTable(ABC):
           state.
 
         These properties are what the service layer's avoid-set
-        failover builds on: :meth:`Router.route
-        <repro.service.router.Router.route>` and
-        :meth:`ClusterRouter.route
-        <repro.service.cluster.ClusterRouter.route>` serve a key from
+        failover builds on: both routers' one shared :meth:`route
+        <repro.service.router._RoutingSurface.route>` serves a key from
         the first replica *not* in the avoid set -- flagging a server
         re-ranks traffic onto each key's next preferred replica without
         any membership change, and lifting the flag restores the

@@ -17,10 +17,10 @@ membership change -- so every stored (hence cacheable) key is tracked
 when an epoch closes.
 
 :class:`ServingFrontend` assembles the whole tier -- data plane,
-hot-key cache, micro-batcher, metrics -- wires the invalidator(s) up
-(per *shard* for a :class:`~repro.service.cluster.ClusterRouter`, since
-each shard closes its own epochs with shard-local plans), and exposes
-the client-facing async ``get``/``put``/``delete``.
+hot-key cache, micro-batcher, metrics -- wires one invalidator up per
+router *shard* (each shard closes its own epochs with shard-local plans;
+a plain :class:`~repro.service.router.Router` is its own one shard), and
+exposes the client-facing async ``get``/``put``/``delete``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import asyncio
 from typing import Any, List, Optional, Tuple
 
 from ..hashfn import Key
-from ..service.cluster import ClusterRouter
 from ..service.router import EpochResult, Router, RouterObserver
 from .batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY, MicroBatcher
 from .cache import DEFAULT_CAPACITY, HotKeyCache
@@ -111,14 +110,9 @@ class ServingFrontend:
         self._subscribe_invalidators()
 
     def _subscribe_invalidators(self) -> None:
-        router = self._plane.router
-        if isinstance(router, ClusterRouter):
-            # Each shard closes its own epochs with a shard-local plan,
-            # so each gets its own invalidator bound to that shard.
-            sources = [router.shard(index) for index in range(router.n_shards)]
-        else:
-            sources = [router]
-        for source in sources:
+        # Each shard closes its own epochs with a shard-local plan, so
+        # each gets its own invalidator bound to that shard.
+        for source in self._plane.router.shards:
             invalidator = EpochInvalidator(self._cache, source, metrics=self._metrics)
             source.subscribe(invalidator)
             self._invalidators.append((source, invalidator))

@@ -25,16 +25,12 @@ facade:
 * snapshots nest one ``Router`` snapshot per shard; a single shard can
   be restored in place (:meth:`restore_shard`) without touching its
   peers -- and instead of silently stranding the keys the swap
-  reroutes, the restore emits the migration plan that rescues them;
-* :meth:`route` / :meth:`route_batch` are failover-aware with the same
-  contract as :class:`Router`: a persistent :meth:`avoid` set (plus an
-  optional per-call ``avoid``) excludes flagged servers, serving their
-  keys from the first healthy replica, while :meth:`assign` /
-  :meth:`assign_batch` stay avoid-blind (writes land at the assigned
-  owner so a transient health flag never strands data).
+  reroutes, the restore emits the migration plan that rescues them.
 
-Every shard shares the same key-hashing family (same seed), so the
-cluster hashes each key exactly once and feeds the pre-routed words to
+Routing and failover are the contract :class:`Router` has, inherited
+from the same base; the cluster supplies only the shard hop.  Every
+shard shares the same key-hashing family (same seed), so the cluster
+hashes each key exactly once and feeds the pre-routed words to
 whichever shard owns them.
 """
 
@@ -58,7 +54,7 @@ from typing import (
 
 import numpy as np
 
-from ..errors import StateError, UnknownServerError
+from ..errors import StateError
 from ..hashfn import Key
 from ..hashing.base import DynamicHashTable
 from ..hashing.registry import TableSpec, make_table
@@ -68,10 +64,9 @@ from .router import (
     EpochResult,
     MembershipUpdate,
     Router,
-    RouterObserver,
     _fail_over,
-    _fail_over_word,
     _record_from_state,
+    _RoutingSurface,
     _unique,
 )
 
@@ -121,7 +116,7 @@ class ClusterEpochResult(NamedTuple):
     plan: MigrationPlan
 
 
-class ClusterRouter:
+class ClusterRouter(_RoutingSurface):
     """S-way sharded routing over independent :class:`Router` shards."""
 
     def __init__(
@@ -198,9 +193,10 @@ class ClusterRouter:
         """Per-shard pool sizes."""
         return tuple(router.server_count for router in self._shards)
 
-    def shard(self, index: int) -> Router:
-        """The ``index``-th shard's :class:`Router`."""
-        return self._shards[index]
+    @property
+    def shards(self) -> Tuple[Router, ...]:
+        """The shard routers, in shard order."""
+        return tuple(self._shards)
 
     def __len__(self) -> int:
         return len(self.server_ids)
@@ -230,49 +226,11 @@ class ClusterRouter:
         """Hash a key batch once, for the whole cluster."""
         return self._shards[0].table.words_of_keys(keys)
 
-    # -- observers ---------------------------------------------------------
+    # -- routing hooks -----------------------------------------------------
 
-    def subscribe(self, observer: RouterObserver) -> RouterObserver:
-        """Attach an observer to every shard; returns it.
-
-        Shard routers dispatch their own events, so a cluster-level
-        subscriber sees one ``on_epoch`` per shard whose membership
-        actually changed -- each carrying that shard's migration plan,
-        which covers exactly the tracked keys the shard serves (the
-        granularity an epoch-invalidated cache wants).
-        """
-        for router in self._shards:
-            router.subscribe(observer)
-        return observer
-
-    def unsubscribe(self, observer: RouterObserver) -> None:
-        """Detach an observer previously attached to every shard."""
-        for router in self._shards:
-            router.unsubscribe(observer)
-
-    # -- failure / drain flagging ------------------------------------------
-
-    @property
-    def avoided(self) -> frozenset:
-        """Servers currently excluded from serving (failover targets)."""
-        return frozenset(self._avoided)
-
-    def avoid(self, server_id: Key) -> None:
-        """Exclude a member from serving cluster-wide, same contract as
-        :meth:`Router.avoid`: no membership change, no epoch, keys it
-        owns served by their first non-avoided replica until the flag
-        lifts or the control plane reconciles it out."""
-        if server_id not in set(self.server_ids):
-            raise UnknownServerError(server_id)
-        self._avoided.add(server_id)
-
-    def readmit(self, server_id: Key) -> None:
-        """Lift a previous :meth:`avoid` flag (no-op when not flagged)."""
-        self._avoided.discard(server_id)
-
-    def _avoid_set(self, avoid: Optional[Iterable[Key]]) -> Set[Key]:
-        """The persistent avoid set merged with a per-call ``avoid``."""
-        return self._avoided if avoid is None else self._avoided | set(avoid)
+    def _locate(self, key: Key) -> Tuple[DynamicHashTable, int]:
+        word = self._family.word(key)
+        return self._shards[self.shard_of_word(word)].table, word
 
     def _by_shard(
         self, words: np.ndarray, ids: Tuple[Key, ...]
@@ -294,58 +252,17 @@ class ClusterRouter:
             )
             yield np.flatnonzero(shards == shard_index), table, to_fleet
 
-    # -- routing -----------------------------------------------------------
-
-    def assign(self, key: Key) -> Key:
-        """The key's *assigned* owner, from its shard (the write path).
-
-        Avoid-blind by contract, exactly like :meth:`Router.assign`: a
-        suspect server is served *around* on the read path but still
-        owns its keys, so writes keep landing at the assignment -- a
-        transient health flag must never strand data on a failover
-        replica.
-        """
-        word = self._family.word(key)
-        table = self._shards[self.shard_of_word(word)].table
-        return table.server_ids[table.route_word(word)]
-
-    def assign_batch(self, keys: Sequence[Key]) -> np.ndarray:
-        """Batched :meth:`assign`: raw shard fan-out, avoid-blind."""
-        return self.route_words(self.words_of_keys(keys))
-
-    def owner_indices(
-        self,
-        keys: Sequence[Key],
-        avoid: Optional[Iterable[Key]] = None,
-        failover: bool = True,
-    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
-        """Batched owners as fleet indices: ``ids[index[i]]`` owns ``keys[i]``.
-
-        Same contract as :meth:`Router.owner_indices`, with ``ids`` the
-        fleet (:attr:`server_ids`): the batch is hashed once and fanned
-        out by :meth:`_index_words`.
-        """
-        return self._index_words(self.words_of_keys(keys), avoid, failover)
-
     def _index_words(
-        self,
-        words: np.ndarray,
-        avoid: Optional[Iterable[Key]] = None,
-        failover: bool = True,
+        self, words: np.ndarray, avoided: Optional[Set[Key]]
     ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
-        """:meth:`owner_indices` over pre-hashed words.
+        """Fleet indices for ``words``, avoided owners failed over.
 
-        Each shard routes its slice through its own table kernel and,
-        with ``failover``, serves its avoided primaries from their
-        first healthy replica within the shard; the shard's slots then
-        become fleet indices through one integer gather.
+        Each shard routes its slice through its own table kernel and
+        fails its avoided owners over within the shard; the shard's
+        slots then become fleet indices through one integer gather.
         """
-        words = np.asarray(words, dtype=np.uint64)
         ids = self.server_ids
         index = np.empty(words.size, dtype=np.int64)
-        if words.size == 0:
-            return index, ids
-        avoided = self._avoid_set(avoid) if failover else None
         for rows, table, to_fleet in self._by_shard(words, ids):
             shard_words = words[rows]
             slots = table.route_batch(shard_words)
@@ -354,71 +271,14 @@ class ClusterRouter:
             index[rows] = to_fleet[slots]
         return index, ids
 
-    def route(self, key: Key, avoid: Optional[Iterable[Key]] = None) -> Key:
-        """Route one key through its owning shard.
-
-        Servers in the cluster's persistent :meth:`avoid` set (plus any
-        per-call ``avoid`` -- identifiers a failure detector has
-        flagged dead, draining or overloaded) are excluded: when the
-        primary is flagged the key is served by its first healthy
-        replica -- the next entry of the shard table's replica set --
-        without any membership change (the control plane reconciles,
-        and pays the remap bill, on its own schedule).
-        """
-        word = self._family.word(key)
-        table = self._shards[self.shard_of_word(word)].table
-        primary = table.server_ids[table.route_word(word)]
-        avoided = self._avoid_set(avoid)
-        if primary not in avoided:
-            # The common case stays O(1): the replica batch is paid only
-            # for keys whose primary is actually flagged.
-            return primary
-        return _fail_over_word(table, word, avoided)
-
-    def route_words(self, words: np.ndarray) -> np.ndarray:
-        """Route pre-hashed words (avoid-blind), as server ids."""
-        index, ids = self._index_words(words, failover=False)
-        return np.asarray(ids, dtype=object)[index]
-
-    def route_batch(
-        self, keys: Sequence[Key], avoid: Optional[Iterable[Key]] = None
-    ) -> np.ndarray:
-        """Batched :meth:`route` (avoid-aware), as server ids.
-
-        Same contract as :meth:`Router.route_batch`: the persistent
-        avoid set and the per-call ``avoid`` merge, and only keys whose
-        primary is flagged take the replica batch.
-        """
-        index, ids = self.owner_indices(keys, avoid)
-        return np.asarray(ids, dtype=object)[index]
-
-    def route_replicas(self, key: Key, k: int) -> Tuple[Key, ...]:
-        """The key's ``k``-replica set, from its owning shard.
-
-        Per-shard, the contract is
-        :meth:`~repro.hashing.base.DynamicHashTable.route_word_replicas`:
-        k distinct servers, head equal to :meth:`assign`'s owner,
-        batch/scalar bit-exact.  :meth:`route` fails over along this
-        set when the primary is in the avoid set.
-        """
-        word = self._family.word(key)
-        table = self._shards[self.shard_of_word(word)].table
-        slots = table.route_word_replicas(word, k)
-        return tuple(table.server_ids[int(slot)] for slot in slots)
-
-    def route_replicas_words(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Batched ``(n, k)`` replica sets over pre-hashed words."""
-        words = np.asarray(words, dtype=np.uint64)
+    def _replica_index_words(
+        self, words: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
         ids = self.server_ids
         index = np.empty((words.size, k), dtype=np.int64)
-        if words.size:
-            for rows, table, to_fleet in self._by_shard(words, ids):
-                index[rows] = to_fleet[table.route_replicas_batch(words[rows], k)]
-        return np.asarray(ids, dtype=object)[index]
-
-    def route_replicas_batch(self, keys: Sequence[Key], k: int) -> np.ndarray:
-        """Batched ``(len(keys), k)`` replica sets for a key batch."""
-        return self.route_replicas_words(self.words_of_keys(keys), k)
+        for rows, table, to_fleet in self._by_shard(words, ids):
+            index[rows] = to_fleet[table.route_replicas_batch(words[rows], k)]
+        return index, ids
 
     # -- remap accounting --------------------------------------------------
 
@@ -501,19 +361,6 @@ class ClusterRouter:
             else:
                 results.append(router.apply(update))
         return self._close_epoch(results)
-
-    def join(
-        self, server_id: Key, weight: Optional[float] = None
-    ) -> ClusterEpochResult:
-        """Admit one server fleet-wide (optionally at a capacity weight)."""
-        weights = () if weight is None else ((server_id, weight),)
-        return self.apply(
-            MembershipUpdate(joins=(server_id,), weights=weights)
-        )
-
-    def leave(self, server_id: Key) -> ClusterEpochResult:
-        """Retire one server fleet-wide."""
-        return self.apply(MembershipUpdate(leaves=(server_id,)))
 
     # -- snapshot / restore ------------------------------------------------
 

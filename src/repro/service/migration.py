@@ -865,12 +865,12 @@ class MigrationExecutor:
     def verify(self) -> int:
         """Ownership pass over everything the cursor has processed.
 
-        Re-routes every processed (non-skipped) key through the data
-        plane's router -- one batched routing pass over the whole
-        cursor range -- and asserts each key's owner is its batch's
-        destination and the value is readable there.  Meaningful
-        immediately after execution -- later epochs may legitimately
-        move keys again.  Returns the number of keys checked.
+        Assigns every processed (non-skipped) key through the data
+        plane's router -- one batched, avoid-blind pass over the whole
+        cursor range -- and asserts each key's assigned owner is its
+        batch's destination and the value is readable there.
+        Meaningful immediately after execution -- later epochs may
+        legitimately move keys again.  Returns the number of keys checked.
         """
         router = self._plane.router
         present: List[Key] = []
@@ -888,11 +888,11 @@ class MigrationExecutor:
             expected.extend([batch.destination] * len(held))
         if not present:
             return 0
-        owners = router.route_batch(present)
+        owners = router.assign_batch(present)
         for key, want, owner in zip(present, expected, owners):
             if owner != want:
                 raise MigrationError(
-                    "moved key {!r} sits on {!r} but routes to "
+                    "moved key {!r} sits on {!r} but is assigned to "
                     "{!r}".format(key, want, owner)
                 )
         return len(present)

@@ -25,8 +25,10 @@ surface:
 * :class:`RouterObserver` hooks for join/leave/remap events, which the
   emulator's stats collection plugs into.
 
-Routing itself passes straight through to the wrapped table's scalar
-and batched paths.
+The serving contract -- reads fail over around avoided servers, writes
+land at the assigned owner -- is written once, in :class:`_RoutingSurface`,
+which :class:`Router` and :class:`~repro.service.cluster.ClusterRouter`
+both inherit; each router supplies only how a key reaches its table.
 """
 
 from __future__ import annotations
@@ -117,17 +119,6 @@ def _fail_over(
     slots = slots.copy()
     slots[flagged] = replicas[rows, first]
     return slots
-
-
-def _fail_over_word(table: DynamicHashTable, word: int, avoided: Set[Key]) -> Key:
-    """Scalar :func:`_fail_over`: the server that serves one routed word."""
-    slots = _fail_over(
-        table,
-        np.array([word], dtype=np.uint64),
-        np.array([table.route_word(word)]),
-        avoided,
-    )
-    return table.server_ids[int(slots[0])]
 
 
 def _spec_entry(item: Any) -> Tuple[Key, Optional[float]]:
@@ -304,7 +295,177 @@ class RouterObserver:
         precisely the remapped keys instead of flushing."""
 
 
-class Router:
+class _RoutingSurface:
+    """The serving contract of :class:`Router` and ``ClusterRouter``.
+
+    Reads fail over, writes do not.  :meth:`route` and its batch forms
+    serve a key whose assigned owner is avoided -- flagged by
+    :meth:`avoid`, or named in a per-call ``avoid`` -- from its first
+    replica outside the avoid set, with no membership change.
+    :meth:`assign` and its batch forms are avoid-blind: data always
+    lives at the assigned owner, so a transient health flag never
+    strands a write on a failover replica.
+
+    A router supplies only how a key reaches its table: ``shards``
+    (the :class:`Router` shards that hold the tables and fire the
+    events; ``(self,)`` on a :class:`Router`), :meth:`words_of_keys`,
+    ``_locate(key) -> (table, word)``, ``_index_words(words, avoided)``
+    and ``_replica_index_words(words, k)`` -- the last two return
+    ``(index, ids)`` with ``ids[index]`` the owners.  It also keeps the
+    ``_avoided`` set and drops a flag when its server leaves.
+    """
+
+    # -- membership --------------------------------------------------------
+
+    def __contains__(self, server_id: Key) -> bool:
+        return any(server_id in shard.table for shard in self.shards)
+
+    def join(self, server_id: Key, weight: Optional[float] = None):
+        """Single-server convenience for ``apply``."""
+        weights = () if weight is None else ((server_id, weight),)
+        return self.apply(MembershipUpdate(joins=(server_id,), weights=weights))
+
+    def leave(self, server_id: Key):
+        """Single-server convenience for ``apply``."""
+        return self.apply(MembershipUpdate(leaves=(server_id,)))
+
+    # -- observers ---------------------------------------------------------
+
+    def subscribe(self, observer: RouterObserver) -> RouterObserver:
+        """Attach an observer to every shard; returns it (decorator-friendly).
+
+        Each shard dispatches its own events, so a cluster subscriber
+        sees one ``on_epoch`` per shard whose membership changed, each
+        carrying that shard's migration plan.
+        """
+        for shard in self.shards:
+            shard._observers.append(observer)
+        return observer
+
+    def unsubscribe(self, observer: RouterObserver) -> None:
+        """Detach a previously subscribed observer."""
+        for shard in self.shards:
+            shard._observers.remove(observer)
+
+    # -- failure / drain flagging ------------------------------------------
+
+    @property
+    def avoided(self) -> frozenset:
+        """Servers currently excluded from serving (failover targets)."""
+        return frozenset(self._avoided)
+
+    def avoid(self, server_id: Key) -> None:
+        """Exclude a member from serving without a membership change.
+
+        The server stays in the table (no epoch, no remap bill); keys it
+        owns are served by their first non-avoided replica until the
+        control plane either readmits it or reconciles it out.  This is
+        the failure detector's *suspect* path and the drain path's
+        new-ownership exclusion.
+        """
+        if server_id not in self:
+            raise UnknownServerError(server_id)
+        self._avoided.add(server_id)
+
+    def readmit(self, server_id: Key) -> None:
+        """Lift a previous :meth:`avoid` flag (no-op when not flagged)."""
+        self._avoided.discard(server_id)
+
+    def _avoid_set(self, avoid: Optional[Iterable[Key]]) -> Set[Key]:
+        """The persistent avoid set merged with a per-call ``avoid``."""
+        return self._avoided if avoid is None else self._avoided | set(avoid)
+
+    # -- scalar routing ----------------------------------------------------
+
+    def assign(self, key: Key) -> Key:
+        """The key's *assigned* owner, avoid-blind: the write path."""
+        table, word = self._locate(key)
+        table._require_servers()
+        return table._server_ids[table.route_word(word)]
+
+    def route(self, key: Key, avoid: Optional[Iterable[Key]] = None) -> Key:
+        """The server that serves a read of ``key`` (avoid-aware).
+
+        The assigned owner, unless it is avoided -- the persistent set
+        plus any per-call ``avoid``; then :func:`_fail_over` on one row
+        picks the key's first non-avoided replica.
+        """
+        table, word = self._locate(key)
+        table._require_servers()
+        ids = table._server_ids
+        slot = table.route_word(word)
+        avoided = self._avoid_set(avoid)
+        if avoided and ids[slot] in avoided:
+            slot = _fail_over(
+                table,
+                np.array([word], dtype=np.uint64),
+                np.array([slot]),
+                avoided,
+            )[0]
+        return ids[slot]
+
+    def route_replicas(self, key: Key, k: int) -> Tuple[Key, ...]:
+        """The key's ``k``-replica set from the table that owns it.
+
+        The replica contract (k pairwise-distinct servers, the head
+        equal to :meth:`assign`'s owner, batch/scalar bit-exact) is
+        stated once at
+        :meth:`~repro.hashing.base.DynamicHashTable.route_word_replicas`;
+        :meth:`route`'s failover walks this set.
+        """
+        table, word = self._locate(key)
+        slots = table.route_word_replicas(word, k).tolist()
+        return tuple(table._server_ids[slot] for slot in slots)
+
+    # -- batch routing -----------------------------------------------------
+
+    def owner_indices(
+        self,
+        keys: Sequence[Key],
+        avoid: Optional[Iterable[Key]] = None,
+        failover: bool = True,
+    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
+        """Batched owners as integers: ``ids[index[i]]`` owns ``keys[i]``.
+
+        The one batch routing path: hash once, then ``_index_words``.
+        With ``failover``, every key whose owner is avoided -- the
+        persistent set plus any per-call ``avoid`` -- is served from its
+        first non-avoided replica (:func:`_fail_over`);
+        ``failover=False`` is the avoid-blind :meth:`assign` path.
+        Callers group keys by the integer index and turn indices into
+        server ids only where ids leave the call.
+        """
+        avoided = self._avoid_set(avoid) if failover else None
+        return self._index_words(self.words_of_keys(keys), avoided)
+
+    def assign_batch(self, keys: Sequence[Key]) -> np.ndarray:
+        """Batched :meth:`assign` (avoid-blind), as server ids."""
+        return self.route_words(self.words_of_keys(keys))
+
+    def route_batch(
+        self, keys: Sequence[Key], avoid: Optional[Iterable[Key]] = None
+    ) -> np.ndarray:
+        """Batched :meth:`route` (avoid-aware), as server ids."""
+        index, ids = self.owner_indices(keys, avoid)
+        return np.asarray(ids, dtype=object)[index]
+
+    def route_words(self, words: np.ndarray) -> np.ndarray:
+        """Route pre-hashed words (avoid-blind), as server ids."""
+        index, ids = self._index_words(np.asarray(words, dtype=np.uint64), None)
+        return np.asarray(ids, dtype=object)[index]
+
+    def route_replicas_batch(self, keys: Sequence[Key], k: int) -> np.ndarray:
+        """Batched ``(len(keys), k)`` replica sets, row for row
+        :meth:`route_replicas`."""
+        return self.route_replicas_words(self.words_of_keys(keys), k)
+
+    def route_replicas_words(self, words: np.ndarray, k: int) -> np.ndarray:
+        """Batched ``(n, k)`` replica sets over pre-hashed words."""
+        index, ids = self._replica_index_words(np.asarray(words, dtype=np.uint64), k)
+        return np.asarray(ids, dtype=object)[index]
+
+
+class Router(_RoutingSurface):
     """Production-facing facade over a :class:`DynamicHashTable`."""
 
     def __init__(
@@ -352,8 +513,10 @@ class Router:
     def server_count(self) -> int:
         return self._table.server_count
 
-    def __contains__(self, server_id: Key) -> bool:
-        return server_id in self._table
+    @property
+    def shards(self) -> Tuple["Router", ...]:
+        """``(self,)``: a router is its own single shard."""
+        return (self,)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -362,45 +525,6 @@ class Router:
         return "Router({}, servers={}, epoch={})".format(
             self._table.name, self._table.server_count, self._epoch
         )
-
-    # -- observers ---------------------------------------------------------
-
-    def subscribe(self, observer: RouterObserver) -> RouterObserver:
-        """Attach an observer; returns it (decorator-friendly)."""
-        self._observers.append(observer)
-        return observer
-
-    def unsubscribe(self, observer: RouterObserver) -> None:
-        """Detach a previously subscribed observer."""
-        self._observers.remove(observer)
-
-    # -- failure / drain flagging ------------------------------------------
-
-    @property
-    def avoided(self) -> frozenset:
-        """Servers currently excluded from serving (failover targets)."""
-        return frozenset(self._avoided)
-
-    def avoid(self, server_id: Key) -> None:
-        """Exclude a member from serving without a membership change.
-
-        The server stays in the table (no epoch, no remap bill); keys it
-        owns are served by their first non-avoided replica until the
-        control plane either readmits it or reconciles it out.  This is
-        the failure detector's *suspect* path and the drain path's
-        new-ownership exclusion.
-        """
-        if server_id not in self._table:
-            raise UnknownServerError(server_id)
-        self._avoided.add(server_id)
-
-    def readmit(self, server_id: Key) -> None:
-        """Lift a previous :meth:`avoid` flag (no-op when not flagged)."""
-        self._avoided.discard(server_id)
-
-    def _avoid_set(self, avoid: Optional[Iterable[Key]]) -> Set[Key]:
-        """The persistent avoid set merged with a per-call ``avoid``."""
-        return self._avoided if avoid is None else self._avoided | set(avoid)
 
     # -- remap accounting --------------------------------------------------
 
@@ -516,19 +640,6 @@ class Router:
             observer.on_epoch(result)
         return result
 
-    def join(
-        self, server_id: Key, weight: Optional[float] = None
-    ) -> Optional[EpochResult]:
-        """Single-server convenience for :meth:`apply`."""
-        weights = () if weight is None else ((server_id, weight),)
-        return self.apply(
-            MembershipUpdate(joins=(server_id,), weights=weights)
-        )
-
-    def leave(self, server_id: Key) -> Optional[EpochResult]:
-        """Single-server convenience for :meth:`apply`."""
-        return self.apply(MembershipUpdate(leaves=(server_id,)))
-
     def diff(self, target_server_ids: Iterable[Key]) -> MembershipUpdate:
         """The minimal update taking current membership to ``target``.
 
@@ -563,87 +674,31 @@ class Router:
         """
         return self.apply(self.diff(target_server_ids))
 
-    # -- routing -----------------------------------------------------------
+    # -- routing hooks -----------------------------------------------------
 
-    def assign(self, key: Key) -> Key:
-        """The key's *assigned* owner: the raw table lookup, avoid-blind.
+    def words_of_keys(self, keys: Sequence[Key]) -> np.ndarray:
+        """Hash a key batch to routing words."""
+        return self._table.words_of_keys(keys)
 
-        This is the write/storage path: data always lives at its
-        assigned owner (a suspect server still owns its keys -- it is
-        served *around*, not written around), so a transient avoid flag
-        can never strand a write on a failover replica.  Reads take
-        :meth:`route`, which fails over.
-        """
-        return self._table.lookup(key)
-
-    def owner_indices(
-        self,
-        keys: Sequence[Key],
-        avoid: Optional[Iterable[Key]] = None,
-        failover: bool = True,
-    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
-        """Batched owners as integers: ``ids[index[i]]`` owns ``keys[i]``.
-
-        The facade's one batch routing path: hash once, route to table
-        slots (``index`` is the slot array, ``ids`` the table's server
-        tuple) and, with ``failover``, serve every key whose primary is
-        avoided -- the persistent set plus any per-call ``avoid`` --
-        from its first non-avoided replica (:func:`_fail_over`).
-        ``failover=False`` is the avoid-blind :meth:`assign` path.
-        Callers group keys by the integer index and turn indices into
-        server ids only where ids leave the call.
-        """
+    def _locate(self, key: Key) -> Tuple[DynamicHashTable, int]:
         table = self._table
-        words = table.words_of_keys(keys)
+        return table, table.family.word(key)
+
+    def _index_words(
+        self, words: np.ndarray, avoided: Optional[Set[Key]]
+    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
+        """Table slots for ``words``, avoided owners failed over."""
+        table = self._table
         index = table.route_batch(words)
-        if failover:
-            avoided = self._avoid_set(avoid)
-            if avoided:
-                index = _fail_over(table, words, index, avoided)
+        if avoided:
+            index = _fail_over(table, words, index, avoided)
         return index, table.server_ids
 
-    def assign_batch(self, keys: Sequence[Key]) -> np.ndarray:
-        """Batched :meth:`assign` (avoid-blind), as server ids."""
-        index, ids = self.owner_indices(keys, failover=False)
-        return np.asarray(ids, dtype=object)[index]
-
-    def route(self, key: Key, avoid: Optional[Iterable[Key]] = None) -> Key:
-        """Scalar lookup through the wrapped table.
-
-        Servers in the router's persistent :meth:`avoid` set (plus any
-        per-call ``avoid``) are excluded: a key whose primary is flagged
-        is served by its first non-flagged replica, with no membership
-        change.  The common (nothing-flagged) case stays a straight
-        table lookup; a flagged one takes :func:`_fail_over` on one row.
-        """
-        avoided = self._avoid_set(avoid)
-        if not avoided:
-            return self._table.lookup(key)
-        self._table._require_servers()
-        return _fail_over_word(self._table, self._table.family.word(key), avoided)
-
-    def route_batch(
-        self, keys: Sequence[Key], avoid: Optional[Iterable[Key]] = None
-    ) -> np.ndarray:
-        """Batched :meth:`route` (avoid-aware), as server ids."""
-        index, ids = self.owner_indices(keys, avoid)
-        return np.asarray(ids, dtype=object)[index]
-
-    def route_replicas(self, key: Key, k: int) -> Tuple[Key, ...]:
-        """The key's ``k``-replica set through the wrapped table.
-
-        The replica contract (k pairwise-distinct servers, the head
-        equal to :meth:`assign`'s owner, batch/scalar bit-exact) is
-        stated once at
-        :meth:`~repro.hashing.base.DynamicHashTable.route_word_replicas`;
-        :meth:`route`'s avoid-set failover is built on it.
-        """
-        return self._table.lookup_replicas(key, k)
-
-    def route_replicas_batch(self, keys: Sequence[Key], k: int) -> np.ndarray:
-        """Batched ``(len(keys), k)`` replica sets through the table
-        (same contract as :meth:`route_replicas`, row for row)."""
-        return self._table.lookup_replicas_batch(keys, k)
+    def _replica_index_words(
+        self, words: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
+        table = self._table
+        return table.route_replicas_batch(words, k), table.server_ids
 
     # -- snapshot / restore ------------------------------------------------
 

@@ -1,14 +1,12 @@
 """The data plane: a fleet of per-server stores behind a routing facade.
 
 A :class:`DataPlane` owns one :class:`~repro.store.store.ServerStore`
-per server and addresses them through any routing facade exposing
-``route`` / ``assign`` / ``owner_indices`` / ``track`` -- a
-:class:`~repro.service.router.Router` or a
-:class:`~repro.service.cluster.ClusterRouter`.  Reads and writes always
-consult the *current* routing state, which is exactly what makes live
-migration observable: after a resize epoch, a key that has been
-rerouted but not yet copied misses at its new owner until the migration
-executor commits it.
+per server and addresses them through either router's one routing
+contract (reads ``route``, writes ``assign``), always consulting the
+*current* routing state -- which is exactly what makes live migration
+observable: after a resize epoch, a key that has been rerouted but not
+yet copied misses at its new owner until the migration executor
+commits it.
 
 The bulk ops group a batch by *integer* owner index: routing returns
 ``(index, ids)``, one stable argsort plus ``bincount`` cuts the batch

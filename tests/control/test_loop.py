@@ -210,6 +210,29 @@ class TestTick:
         loop.tick(now=6.0)
         assert router.avoided == frozenset()
 
+    def test_dead_removal_verifies_while_another_server_is_suspect(self):
+        # The epoch removing s05 moves keys onto s03 too; the suspect
+        # s03 is served around but still owns them, so the post-epoch
+        # ownership check must pass and every key sits at its assignment.
+        fleet = FleetState(ServerSpec("s{:02d}".format(i)) for i in range(16))
+        router = Router(make_table("hd", seed=1))
+        plane = DataPlane(router)
+        loop = ControlLoop(router, plane, fleet)
+        loop.bootstrap()
+        keys = np.arange(20_000, dtype=np.int64)
+        plane.put_many(keys, keys)
+        plane.track()
+        fleet.mark_suspect("s03")
+        fleet.mark_dead("s05")
+        report = loop.tick()
+        assert report.removed == ("s05",)
+        assert router.avoided == frozenset({"s03"})
+        owners = router.assign_batch(keys)
+        assert "s03" in set(owners.tolist())
+        for owner in set(owners.tolist()):
+            __, found = plane.store(owner).get_many(keys[owners == owner])
+            assert found.all()
+
     def test_plan_only_mutates_nothing(self):
         loop, __ = _stack()
         loop.fleet.mark_draining("s2")

@@ -4,7 +4,7 @@ snapshot/restore."""
 import numpy as np
 import pytest
 
-from repro.errors import EmptyTableError, StateError
+from repro.errors import StateError
 from repro.hashing import make_table
 from repro.service import (
     ClusterRouter,
@@ -139,10 +139,10 @@ class TestFleetMembership:
         # full tracked-slice re-route on algorithms without the
         # delta-scoped fast path) is provably an empty delta -- skip it.
         cluster = build(probe=True)
-        cluster.shard(2).sync(FLEET[:6])  # diverge one shard
+        cluster.shards[2].sync(FLEET[:6])  # diverge one shard
         closes = [0] * cluster.n_shards
         for index in range(cluster.n_shards):
-            tracker = cluster.shard(index).delta_tracker
+            tracker = cluster.shards[index].delta_tracker
             original = tracker.close
 
             def spy(*args, _original=original, _index=index, **kwargs):
@@ -169,7 +169,7 @@ class TestFleetMembership:
         cluster = build(probe=True)
         closes = [0] * cluster.n_shards
         for index in range(cluster.n_shards):
-            tracker = cluster.shard(index).delta_tracker
+            tracker = cluster.shards[index].delta_tracker
             original = tracker.close
 
             def spy(*args, _original=original, _index=index, **kwargs):
@@ -186,39 +186,10 @@ class TestFleetMembership:
         # Draining one shard is a per-shard operation; its peers (and
         # their epochs) stay untouched.
         cluster = build()
-        cluster.shard(2).sync(FLEET[:6])
+        cluster.shards[2].sync(FLEET[:6])
         assert cluster.epochs == (1, 1, 2, 1)
         assert cluster.server_counts == (12, 12, 6, 12)
         assert len(cluster) == 12  # union still sees the whole fleet
-
-
-class TestFailover:
-    def test_avoid_reroutes_to_a_replica(self):
-        cluster = build(HD_SPEC)
-        key = 424242
-        primary = cluster.route(key)
-        replicas = cluster.route_replicas(key, 2)
-        assert replicas[0] == primary
-        assert cluster.route(key, avoid={primary}) == replicas[1]
-
-    def test_avoid_is_noop_for_other_servers(self):
-        cluster = build()
-        key = "user:7"
-        primary = cluster.route(key)
-        other = next(s for s in cluster.server_ids if s != primary)
-        assert cluster.route(key, avoid={other}) == primary
-
-    def test_avoiding_whole_pool_raises(self):
-        cluster = build()
-        with pytest.raises(EmptyTableError):
-            cluster.route("user:7", avoid=set(FLEET))
-
-    def test_avoid_does_not_mutate_membership(self):
-        cluster = build()
-        before = cluster.epochs
-        cluster.route("user:7", avoid={cluster.route("user:7")})
-        assert cluster.epochs == before
-        assert len(cluster) == 12
 
 
 class TestClusterSnapshot:
@@ -240,15 +211,15 @@ class TestClusterSnapshot:
         restored = ClusterRouter.restore(cluster.snapshot())
         for index in range(cluster.n_shards):
             assert (
-                restored.shard(index).history
-                == cluster.shard(index).history
+                restored.shards[index].history
+                == cluster.shards[index].history
             )
 
     def test_single_shard_restore_in_place(self):
         cluster = build(probe=True)
         reference = cluster.route_batch(PROBE)
         saved = cluster.snapshot_shard(1)
-        cluster.shard(1).sync(FLEET[:3])  # the shard diverges...
+        cluster.shards[1].sync(FLEET[:3])  # the shard diverges...
         assert list(cluster.route_batch(PROBE)) != list(reference)
         __, plan = cluster.restore_shard(1, saved)  # ...swapped back
         assert list(cluster.route_batch(PROBE)) == list(reference)

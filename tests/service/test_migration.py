@@ -236,6 +236,18 @@ class TestMigrationExecutor:
         with pytest.raises(MigrationError):
             executor.verify()
 
+    @pytest.mark.parametrize("name", registered_algorithms())
+    def test_verification_ignores_the_avoid_set(self, name):
+        # Ownership is where writes land: a destination flagged
+        # suspect after the move still owns the keys it received.
+        plane, __ = populated_plane(name, keys=1_500)
+        __, plan = plane.router.sync("srv-{:02d}".format(i) for i in range(13))
+        executor = MigrationExecutor(plan, plane)
+        status = executor.run()
+        assert status.committed == plan.total_keys > 0
+        plane.router.avoid(plan.batches[0].destination)
+        assert executor.verify() == status.committed
+
     def test_invalid_throttles_rejected(self):
         plane, __ = populated_plane("consistent", keys=10)
         plan = MigrationPlan(tracked=0, batches=())
@@ -279,7 +291,7 @@ class TestClusterMigration:
         saved = cluster.snapshot_shard(1)
         # The shard diverges *and its data follows*: executing the
         # divergence epoch's plan moves shard-1 keys to the new owners.
-        result = cluster.shard(1).sync("srv-{:02d}".format(i) for i in range(6))
+        result = cluster.shards[1].sync("srv-{:02d}".format(i) for i in range(6))
         MigrationExecutor(result.plan, plane).run()
         __, found = plane.get_many(keys)
         assert found.all()

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import (
-    DuplicateServerError,
-    EmptyTableError,
-    UnknownServerError,
-)
+from repro.errors import DuplicateServerError, UnknownServerError
 from repro.hashing import make_table
 from repro.service import MembershipUpdate, Router, RouterObserver
 
@@ -232,6 +228,20 @@ class TestRemapAccounting:
             results[name] = router.sync(range(9)).record.remapped
         assert results["modular"] > 2 * results["consistent"]
 
+    def test_remap_accounting_ignores_avoid(self):
+        """The avoid set is routing-level failover; the epoch bill and
+        migration plans stay on the table's raw assignment."""
+        router = Router(make_table("rendezvous", seed=8))
+        router.sync(["a", "b", "c", "d"])
+        router.track(list(range(1_000)))
+        router.avoid("a")
+        result = router.join("e")
+        assert result is not None
+        # The epoch's delta compares raw table assignments, so the
+        # moved keys are exactly what the table rerouted -- flagged
+        # servers do not inflate the bill.
+        assert 0.0 < result.record.remapped < 0.5
+
     def test_no_probes_means_zero_accounting(self):
         router = consistent_router()
         record, plan = router.sync(["a", "b"])
@@ -264,79 +274,3 @@ class TestRouterSnapshot:
         assert restored.epoch == router.epoch
         assert restored.server_ids == router.server_ids
         assert np.array_equal(restored.route_batch(probe), reference)
-
-
-class TestAvoidMachinery:
-    def _router(self):
-        router = Router(make_table("rendezvous", seed=8))
-        router.sync(["a", "b", "c", "d"])
-        return router
-
-    def test_avoid_reroutes_to_first_healthy_replica(self):
-        router = self._router()
-        keys = list(range(400))
-        primaries = {key: router.route(key) for key in keys}
-        victim = router.route(0)
-        router.avoid(victim)
-        assert router.avoided == frozenset({victim})
-        for key in keys:
-            owner = router.route(key)
-            assert owner != victim
-            if primaries[key] != victim:
-                # Unflagged primaries are untouched.
-                assert owner == primaries[key]
-            else:
-                # Flagged ones shift to the first healthy replica.
-                replicas = router.route_replicas(key, 2)
-                assert owner == replicas[1]
-
-    def test_route_batch_matches_scalar_under_avoid(self):
-        import numpy as np
-
-        router = self._router()
-        router.avoid("b")
-        keys = list(range(300))
-        batch = router.route_batch(keys)
-        assert "b" not in set(batch.tolist())
-        assert np.array_equal(
-            batch, np.asarray([router.route(key) for key in keys], object)
-        )
-
-    def test_per_call_avoid_merges_with_persistent(self):
-        router = self._router()
-        router.avoid("a")
-        owners = {router.route(key, avoid={"b"}) for key in range(200)}
-        assert owners <= {"c", "d"}
-
-    def test_avoid_requires_membership_and_clears_on_leave(self):
-        router = self._router()
-        with pytest.raises(UnknownServerError):
-            router.avoid("ghost")
-        router.avoid("c")
-        router.leave("c")
-        assert router.avoided == frozenset()
-
-    def test_readmit_lifts_flag(self):
-        router = self._router()
-        router.avoid("a")
-        router.readmit("a")
-        assert router.avoided == frozenset()
-        router.readmit("a")  # idempotent
-
-    def test_whole_fleet_avoided_raises(self):
-        router = self._router()
-        with pytest.raises(EmptyTableError):
-            router.route(1, avoid={"a", "b", "c", "d"})
-
-    def test_remap_accounting_ignores_avoid(self):
-        """The avoid set is routing-level failover; the epoch bill and
-        migration plans stay on the table's raw assignment."""
-        router = self._router()
-        router.track(list(range(1_000)))
-        router.avoid("a")
-        result = router.join("e")
-        assert result is not None
-        # The epoch's delta compares raw table assignments, so the
-        # moved keys are exactly what the table rerouted -- flagged
-        # servers do not inflate the bill.
-        assert 0.0 < result.record.remapped < 0.5
