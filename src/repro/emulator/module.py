@@ -6,7 +6,9 @@ hashing algorithm to map them to an available server" (Section 5.1).
 Two execution paths mirror the paper's hardware asymmetry:
 
 * ``vectorized=True`` -- each key batch goes through the algorithm's
-  ``route_batch`` (HD hashing's batched inference; the GPU stand-in);
+  batch path; for HD hashing that is its Eq. 2 inference
+  (``infer_batch``, the GPU stand-in), not the position memo its
+  ``route_batch`` reads, so Figure 4 times the paper's algorithm;
 * ``vectorized=False`` -- keys are served one at a time through the
   scalar ``lookup`` path (the per-request control flow of the classical
   algorithms on a CPU).
@@ -98,6 +100,7 @@ class HashTableModule:
         self._table = self._router.table
         self._buffer = RequestBuffer(batch_size)
         self._vectorized = vectorized
+        self._infer = getattr(self._table, "infer_batch", None)
         self._record_assignments = record_assignments
 
     @property
@@ -118,7 +121,10 @@ class HashTableModule:
     def _serve_batch(self, keys: np.ndarray, report: EmulationReport) -> None:
         table = self._table
         started = time.perf_counter()
-        if self._vectorized:
+        if self._vectorized and self._infer is not None:
+            slots, __ = self._infer(table.words_of_keys(keys))
+            assigned = np.asarray(table.server_ids, dtype=object)[slots]
+        elif self._vectorized:
             assigned = table.lookup_batch(keys)
         else:
             ids = table.server_ids

@@ -8,8 +8,8 @@ extension baselines -- implements :class:`DynamicHashTable`:
 * ``lookup(key)``, the scalar deployment path used by the efficiency
   experiment;
 * ``route_batch(words)``, the vectorized path used by the robustness and
-  uniformity campaigns (and, for HD hashing, the batched inference that
-  stands in for the paper's GPU);
+  uniformity campaigns (for HD hashing, a gather from its per-position
+  memo of the batched inference that stands in for the paper's GPU);
 * ``lookup_replicas(key, k)`` / ``route_replicas_batch(words, k)``, the
   replica protocol: ``k`` pairwise-distinct servers per key, ordered by
   preference, with ``replicas[0]`` always equal to the single-server
@@ -333,6 +333,27 @@ class DynamicHashTable(ABC):
         collide).
         """
         return None
+
+    def _route_positions(self, words: np.ndarray) -> Optional[np.ndarray]:
+        """Each word's routing position, or ``None`` (the default).
+
+        Algorithms whose routing is a pure function of a small, fixed
+        set of positions (HD: the word's circle node) return the
+        ``int64`` position of every word, and :meth:`_position_owners`
+        names the slot each position routes to.  A tracked
+        :class:`~repro.service.migration.DeltaTracker` then closes any
+        epoch by diffing the position owners -- exact whatever changed
+        the table, memory faults included.
+        """
+        return None
+
+    def _position_owners(self) -> np.ndarray:
+        """Slot every position routes to now, as a new ``int64`` array.
+
+        Only meaningful when :meth:`_route_positions` returns positions
+        and the pool is non-empty.
+        """
+        raise NotImplementedError
 
     # -- replica routing ----------------------------------------------------
 

@@ -15,10 +15,21 @@ inter-node gap, so corrupted lookups still return the pristine winner.
 Contrast with consistent hashing, where the same flip displaces a ring
 position by up to half the key space.
 
-Batched inference (``route_batch``) deduplicates the request batch onto
-its unique circle positions before querying the item memory -- the
-contiguous XOR+popcount sweep that stands in for the paper's GPU (and,
+Inference (:meth:`HDHashTable.infer_batch`) deduplicates the request
+batch onto its unique circle positions before querying the item memory --
+the contiguous XOR+popcount sweep that stands in for the paper's GPU (and,
 ultimately, for the single-cycle associative memory of Schmuck et al.).
+Its answer depends only on a request's circle position, so the table
+keeps that answer for each of the ``n`` positions (the *position memo*:
+winning item-memory row and its Hamming distance) and routing reads it
+with one gather.  Every known memo entry equals a fresh
+``infer_batch`` over the live item memory (and the live codebook, when
+it is exposed): a join applies the joiner's distance column with strict
+wins only, a leave marks only the leaver's positions to be inferred
+again on first use, a restore starts over, and every routing call first
+compares the live memory with the memo's copy and re-derives each
+position a changed row or codebook entry can affect, so silent
+corruption reaches the answers exactly as it reaches inference.
 
 Placement details the paper leaves open (documented choices):
 
@@ -35,7 +46,7 @@ Placement details the paper leaves open (documented choices):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,15 +65,6 @@ __all__ = ["HDHashTable", "HDConfig"]
 DEFAULT_DIM = 10_000
 #: Codebook size; the paper requires n > k and leaves n unreported.
 DEFAULT_CODEBOOK_SIZE = 4_096
-
-#: Batches at least this many times larger than the codebook skip the
-#: ``np.unique`` dedup and query every circle node instead: the batch
-#: saturates the codebook anyway, and gathering per-word results beats
-#: sorting millions of positions.  Smaller batches (including the
-#: delta-scoped reroutes, which concentrate on the departed server's few
-#: circle nodes) keep the dedup -- their unique-position count, not the
-#: batch size, is what the kernel sweep scales with.
-_DENSE_QUERY_FACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,7 @@ class HDHashTable(DynamicHashTable):
         self._memory = ItemMemory(self._codebook.dim, backend=backend)
         self._position_of: Dict[Key, int] = {}
         self._occupied: Dict[int, Key] = {}
+        self._reset_memo()
 
     # -- introspection ----------------------------------------------------
 
@@ -186,43 +189,176 @@ class HDHashTable(DynamicHashTable):
 
     def _join(self, server_id: Key, server_word: int) -> None:
         position = self._place(server_word)
+        if self._memo_slots is not None:
+            self._memo()  # settle earlier faults before the row lands
         self._memory.add_packed(server_id, self._codebook_packed[position])
         self._position_of[server_id] = position
         self._occupied[position] = server_id
+        if self._memo_slots is not None:
+            # Ties break toward the earliest row and the joiner is the
+            # latest, so it takes exactly the positions it wins strictly
+            # (an unknown entry's -1 is never beaten).
+            row = len(self._memory) - 1
+            column = self._column(row)
+            wins = column < self._memo_distances
+            self._memo_slots[wins] = row
+            self._memo_distances[wins] = column[wins]
+            self._snapshot_memo()
 
     def _leave(self, server_id: Key, slot: int) -> None:
+        if self._memo_slots is not None:
+            self._memo()
         self._memory.remove(server_id)
         position = self._position_of.pop(server_id)
         del self._occupied[position]
+        if self._memo_slots is not None:
+            # Removing a row that won nowhere changes no argmin; later
+            # rows shift down by one, and the leaver's own positions are
+            # re-queried on first use.
+            slots = self._memo_slots
+            orphaned = slots == slot
+            slots[orphaned] = -1
+            self._memo_distances[orphaned] = -1
+            np.subtract(slots, 1, out=slots, where=slots > slot)
+            self._snapshot_memo()
+
+    # -- Eq. 2 inference ----------------------------------------------------
+
+    def infer_batch(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. 2 inference: each word's nearest item-memory row.
+
+        Returns ``(slots, distances)`` ``int64`` arrays aligned with
+        ``words``: the winning row (ties toward the earliest-joined
+        server) and its Hamming distance.  Requests sharing a circle
+        position share a similarity query, so a batch of b requests
+        costs one XOR+popcount sweep over its ``min(b, n)`` unique
+        positions against every stored row.  This is the paper's
+        algorithm as Figure 4 times it; :meth:`route_batch` returns the
+        same slots from the position memo.
+        """
+        self._require_servers()
+        positions = self._route_positions(np.asarray(words, dtype=np.uint64))
+        unique_positions, inverse = np.unique(positions, return_inverse=True)
+        slots, distances = self._memory.query_batch_words(
+            self._codebook_words[unique_positions]
+        )
+        return slots[inverse], distances[inverse]
+
+    # -- position memo --------------------------------------------------------
+    #
+    # One entry per circle position: the winning item-memory row and its
+    # Hamming distance, or -1 in both while unknown (never used, or the
+    # winner left).  Unknown entries are inferred on first use; known
+    # entries always equal what inference over the live memory answers.
+
+    def _reset_memo(self) -> None:
+        """Forget every entry (each is inferred again on first use)."""
+        self._memo_slots = None
+        self._memo_distances = None
+        self._memo_rows = b""
+        self._memo_codebook = b""
+
+    def _snapshot_memo(self) -> None:
+        """Record the memory (and exposed codebook) the memo reflects."""
+        self._memo_rows = self._memory.memory_view().tobytes()
+        if self._expose_codebook:
+            self._memo_codebook = self._codebook_packed.tobytes()
+
+    def _memo(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slots, distances)`` per circle position, with every known
+        entry current with the live item memory and exposed codebook.
+
+        Runs before every answer: one compare of the live memory with
+        the memo's copy, and, when they differ, a repair of every
+        position a changed row or codebook entry can affect.
+        """
+        if self._memo_slots is None:
+            self._memo_slots = np.full(self.codebook_size, -1, dtype=np.int64)
+            self._memo_distances = np.full(self.codebook_size, -1, dtype=np.int64)
+            self._snapshot_memo()
+        elif self._memory.memory_view().tobytes() != self._memo_rows or (
+            self._expose_codebook
+            and self._codebook_packed.tobytes() != self._memo_codebook
+        ):
+            self._repair_memo()
+        return self._memo_slots, self._memo_distances
+
+    def _repair_memo(self) -> None:
+        """Re-derive every position the changed memory can affect.
+
+        A changed item-memory row can lose the positions it won and win
+        any position where its new distance reaches the winner's; a
+        changed codebook entry changes its own position's query.  Those
+        positions are inferred again over the live memory; every other
+        known position keeps a winner whose row and distance are
+        unchanged.
+        """
+        live = self._memory.memory_words()
+        if not len(live):
+            self._snapshot_memo()  # no row, so no entry is known
+            return
+        if len(self._memo_rows) == live.nbytes:
+            seen = np.frombuffer(self._memo_rows, dtype=np.uint64)
+            changed = np.flatnonzero((live != seen.reshape(live.shape)).any(axis=1))
+        else:
+            changed = np.arange(len(live))  # rows added or removed behind the table
+        if 2 * changed.size > len(live):
+            affected = np.ones(self.codebook_size, dtype=bool)  # one sweep is cheaper
+        else:
+            affected = np.zeros(self.codebook_size, dtype=bool)
+            for row in changed:
+                affected |= self._memo_slots == row
+                affected |= self._column(row) <= self._memo_distances
+        if self._expose_codebook:
+            before = np.frombuffer(self._memo_codebook, dtype=np.uint64)
+            affected |= (
+                self._codebook_words != before.reshape(self._codebook_words.shape)
+            ).any(axis=1)
+        self._infer_into_memo(np.flatnonzero(affected))
+        self._snapshot_memo()
+
+    def _column(self, row: int) -> np.ndarray:
+        """Hamming distance of item-memory ``row`` to every position."""
+        return hamming_words(
+            self._codebook_words,
+            self._memory.memory_words()[row],
+            self._memory.backend,
+        )
+
+    def _infer_into_memo(self, positions: np.ndarray) -> None:
+        """Set the entries of (unique) ``positions`` by inference."""
+        if positions.size:
+            (
+                self._memo_slots[positions],
+                self._memo_distances[positions],
+            ) = self.infer_batch(positions.astype(np.uint64))
+
+    def _memo_at(self, positions: np.ndarray, distances: bool = False) -> np.ndarray:
+        """Memo slots (or distances) at ``positions``, unknown ones
+        inferred first."""
+        memo = self._memo()[1 if distances else 0]
+        found = memo[positions]
+        if found.size and found.min() < 0:
+            self._infer_into_memo(np.unique(positions[found < 0]))
+            found = memo[positions]
+        return found
 
     # -- routing --------------------------------------------------------------
 
+    def _route_positions(self, words: np.ndarray) -> np.ndarray:
+        return (words % np.uint64(self.codebook_size)).astype(np.int64)
+
+    def _position_owners(self) -> np.ndarray:
+        return self._memo_at(np.arange(self.codebook_size))
+
     def route_word(self, word: int) -> int:
         self._require_servers()
-        position = int(word % self.codebook_size)
-        slot, __, __ = self._memory.query_words(self._codebook_words[position])
-        return slot
+        position = np.array([int(word) % self.codebook_size])
+        return int(self._memo_at(position)[0])
 
     def _route_batch(self, words: np.ndarray) -> np.ndarray:
-        """Batched inference over the unique circle positions of a batch.
-
-        Requests sharing a circle position share a similarity query, so
-        a batch of b requests costs one kernel sweep over ``min(b, n)``
-        unique queries -- a single XOR+popcount pass over the
-        mutation-time uint64 views of codebook and item memory, with no
-        per-word or per-chunk Python dispatch.  Empty batches are
-        short-circuited by :meth:`route_batch` before the ``np.unique``
-        indexing path.
-        """
-        positions = (words % np.uint64(self.codebook_size)).astype(np.int64)
-        if self.codebook_size * _DENSE_QUERY_FACTOR <= positions.size:
-            slots, __ = self._memory.query_batch_words(self._codebook_words)
-            return slots[positions]
-        unique_positions, inverse = np.unique(positions, return_inverse=True)
-        slots, __ = self._memory.query_batch_words(
-            self._codebook_words[unique_positions]
-        )
-        return slots[inverse]
+        """One gather from the position memo (see :meth:`infer_batch`)."""
+        return self._memo_at(self._route_positions(words))
 
     # -- delta kernels ------------------------------------------------------
 
@@ -234,19 +370,7 @@ class HDHashTable(DynamicHashTable):
         # delta contract reproduces the first-minimum argmin exactly.
         if not self._server_ids:
             return None
-        positions = (words % np.uint64(self.codebook_size)).astype(np.int64)
-        if self.codebook_size * _DENSE_QUERY_FACTOR <= positions.size:
-            # More words than circle nodes: querying the whole codebook
-            # and gathering beats the sort inside np.unique.
-            __, distances = self._memory.query_batch_words(
-                self._codebook_words
-            )
-            return -distances[positions]
-        unique_positions, inverse = np.unique(positions, return_inverse=True)
-        __, distances = self._memory.query_batch_words(
-            self._codebook_words[unique_positions]
-        )
-        return -distances[inverse]
+        return -self._memo_at(self._route_positions(words), distances=True)
 
     def _delta_challenge(
         self, server_id: Key, words: np.ndarray
@@ -255,20 +379,7 @@ class HDHashTable(DynamicHashTable):
             row = self._memory.index_of(server_id)
         except KeyError:
             return None
-        row_words = self._memory.memory_words()[row]
-        positions = (words % np.uint64(self.codebook_size)).astype(np.int64)
-        if self.codebook_size * _DENSE_QUERY_FACTOR <= positions.size:
-            distances = hamming_words(
-                self._codebook_words, row_words, self._memory.backend
-            )
-            return -np.asarray(distances, dtype=np.int64)[positions]
-        unique_positions, inverse = np.unique(positions, return_inverse=True)
-        distances = hamming_words(
-            self._codebook_words[unique_positions],
-            row_words,
-            self._memory.backend,
-        )
-        return -np.asarray(distances, dtype=np.int64)[inverse]
+        return -self._column(row)[self._route_positions(words)]
 
     def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
         """Native replica path: the ``k`` nearest item-memory rows.
@@ -292,9 +403,9 @@ class HDHashTable(DynamicHashTable):
 
         One packed-word top-k kernel sweep over the batch's unique
         circle positions -- no per-key Python loop, mirroring
-        :meth:`_route_batch`.
+        :meth:`infer_batch`.
         """
-        positions = (words % np.uint64(self.codebook_size)).astype(np.int64)
+        positions = self._route_positions(words)
         unique_positions, inverse = np.unique(positions, return_inverse=True)
         slots, __ = self._memory.query_top_k_words(
             self._codebook_words[unique_positions], k
@@ -402,6 +513,7 @@ class HDHashTable(DynamicHashTable):
             position: server_id
             for server_id, position in self._position_of.items()
         }
+        self._reset_memo()
 
     # -- fault-injection surface ------------------------------------------------
 

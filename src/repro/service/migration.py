@@ -95,15 +95,27 @@ class DeltaTracker:
     diff also names every moved key's old and new owner, behind the
     :class:`MigrationPlan` emitted alongside each epoch record.
 
-    When constructed with the ``table`` it accounts for, epochs that
-    name their membership events (``close(joined=..., left=...)``) take
-    the *delta-scoped* path on algorithms exposing the
-    :meth:`~repro.hashing.base.DynamicHashTable._delta_scores` kernel:
-    the tracker caches every key's winning score, prices a join as one
-    score-column sweep (the joiner's challenge against the cached
-    winners, strict wins only) and a leave by re-routing only the keys
-    the departing servers owned.  Algorithms without the kernel -- and
-    anonymous closes -- keep the full recompute; both paths produce
+    When constructed with the ``table`` it accounts for, two scoped
+    closes replace the full recompute where the algorithm allows:
+
+    * *position-grouped*, on algorithms whose routing is a pure
+      function of a fixed position set
+      (:meth:`~repro.hashing.base.DynamicHashTable._route_positions`,
+      HD's circle nodes): :meth:`track` indexes the keys by position,
+      and every close -- named or anonymous -- diffs the table's
+      position owners against the previous epoch's and moves exactly
+      the keys of the positions whose owner changed.  It reads the
+      owners the table routes by now, so it stays exact after memory
+      faults;
+    * *delta-scoped*, on epochs that name their membership events
+      (``close(joined=..., left=...)``) over algorithms exposing the
+      :meth:`~repro.hashing.base.DynamicHashTable._delta_scores`
+      kernel: the tracker caches every key's winning score, prices a
+      join as one score-column sweep (the joiner's challenge against
+      the cached winners, strict wins only) and a leave by re-routing
+      only the keys the departing servers owned.
+
+    Everything else takes the full recompute; every path produces
     bit-identical :class:`EpochDelta` s.
     """
 
@@ -114,6 +126,13 @@ class DeltaTracker:
         self._words: Optional[np.ndarray] = None
         self._assignment: Optional[np.ndarray] = None
         self._scores: Optional[np.ndarray] = None
+        # Position index: tracked-key indices sorted by position, the
+        # positions in that order, and the owner slots and server ids
+        # the current assignment was read from.
+        self._by_position: Optional[np.ndarray] = None
+        self._sorted_positions: Optional[np.ndarray] = None
+        self._owners: Optional[np.ndarray] = None
+        self._owner_ids: Tuple[Key, ...] = ()
 
     @property
     def probe_keys(self) -> Optional[np.ndarray]:
@@ -135,19 +154,34 @@ class DeltaTracker:
         self._keys = keys
         self._words = words
         self._assignment = self._lookup(words)
-        self._refresh_scores()
+        table = self._table
+        positions = None if table is None else table._route_positions(words)
+        if positions is None:
+            self._by_position = self._sorted_positions = None
+        else:
+            # The narrowest dtype holding every position lets numpy's
+            # stable sort run as a radix sort (8x at 4,096 positions).
+            narrow = np.min_scalar_type(int(positions.max(initial=0)))
+            self._by_position = np.argsort(positions.astype(narrow), kind="stable")
+            self._sorted_positions = positions[self._by_position]
+        self._refresh_baselines()
 
-    def _refresh_scores(self) -> None:
-        """Re-capture the winning-score baseline (None disables the
-        delta-scoped path until the next full recompute refreshes it)."""
+    def _refresh_baselines(self) -> None:
+        """Re-capture the winning scores and position owners behind the
+        current assignment (``None`` disarms a scoped path until the
+        next full recompute refreshes it)."""
         if (
             self._table is None
             or self._words is None
             or self._assignment is None
         ):
             self._scores = None
-        else:
-            self._scores = self._table._delta_scores(self._words)
+            self._owners = None
+            return
+        self._scores = self._table._delta_scores(self._words)
+        if self._by_position is not None:
+            self._owners = self._table._position_owners()
+            self._owner_ids = self._table.server_ids
 
     def _delta_against(self, current: Optional[np.ndarray]) -> EpochDelta:
         if current is None or self._assignment is None:
@@ -167,17 +201,20 @@ class DeltaTracker:
 
         Called once per applied membership epoch (the table has already
         mutated); the returned delta is the single source for both the
-        epoch's remap accounting and its migration plan.  When the
-        epoch's events are named and the table exposes the delta-score
-        kernels, the diff is delta-scoped: leave epochs re-route only
-        the keys the departing servers owned, join epochs sweep each
-        joiner's challenge column against the cached winning scores.
-        Anything else -- anonymous closes, algorithms without the
-        kernel, a baseline captured over an empty pool -- takes the
-        full batched re-route.
+        epoch's remap accounting and its migration plan.  Position-routed
+        tables close every epoch, named or not, by diffing their
+        position owners.  Otherwise, when the epoch's events are named
+        and the table exposes the delta-score kernels, the diff is
+        delta-scoped: leave epochs re-route only the keys the departing
+        servers owned, join epochs sweep each joiner's challenge column
+        against the cached winning scores.  Anything else -- anonymous
+        closes, algorithms without the kernels, a baseline captured
+        over an empty pool -- takes the full batched re-route.
         """
         if self._keys is None or self._keys.size == 0:
             return EpochDelta.empty(self.tracked)
+        if self._owners is not None and self._table.server_count:
+            return self._close_by_position()
         if (joined or left) and self._scores is not None:
             delta = self._close_scoped(tuple(joined), tuple(left))
             if delta is not None:
@@ -185,8 +222,57 @@ class DeltaTracker:
         current = self._lookup(self._words)
         delta = self._delta_against(current)
         self._assignment = current
-        self._refresh_scores()
+        self._refresh_baselines()
         return delta
+
+    def _close_by_position(self) -> EpochDelta:
+        """The position-grouped :class:`EpochDelta`.
+
+        A key's owner is its position's owner, so the keys that moved
+        are exactly the keys of the positions whose owning *server*
+        changed: the previous owner slots are translated to today's
+        slots by server id (``-1`` for a server that left) and compared
+        with the table's owners.  Costs O(positions + moved keys); the
+        moved keys come back in probe order, as the full diff lists
+        them.
+        """
+        table = self._table
+        owners = table._position_owners()
+        ids = table.server_ids
+        before = self._owners
+        if ids != self._owner_ids:
+            slot_of = {server_id: slot for slot, server_id in enumerate(ids)}
+            translate = np.fromiter(
+                (slot_of.get(server_id, -1) for server_id in self._owner_ids),
+                dtype=np.int64,
+                count=len(self._owner_ids),
+            )
+            before = translate[before]
+        changed = np.flatnonzero(owners != before)
+        sorted_positions = self._sorted_positions
+        starts = np.searchsorted(sorted_positions, changed, side="left")
+        counts = np.searchsorted(sorted_positions, changed, side="right") - starts
+        total = int(counts.sum())
+        # Expand the runs ``[start, start + count)`` into one index array.
+        run_offsets = np.cumsum(counts) - counts
+        flat = np.arange(total) + np.repeat(starts - run_offsets, counts)
+        moved = self._by_position[flat]
+        order = np.argsort(moved)
+        moved = moved[order]
+        moved_positions = sorted_positions[flat[order]]
+        destinations = np.asarray(ids, dtype=object)[owners[moved_positions]]
+        sources = self._assignment[moved]
+        self._assignment[moved] = destinations
+        if self._scores is not None:
+            self._scores[moved] = table._delta_scores(self._words[moved])
+        self._owners = owners
+        self._owner_ids = ids
+        return EpochDelta(
+            tracked=self.tracked,
+            keys=self._keys[moved],
+            sources=sources,
+            destinations=destinations,
+        )
 
     def _close_scoped(self, joined, left) -> Optional[EpochDelta]:
         """The delta-scoped :class:`EpochDelta`, or ``None`` to opt out.

@@ -84,29 +84,43 @@ class TestPlacementCollisions:
 
 class TestBatchDedup:
     def test_kernel_runs_once_per_unique_word(self, monkeypatch):
-        """A duplicate-heavy batch reaches the similarity kernel as one
-        call over the unique circle positions only -- repeated words must
-        not recompute their query."""
+        """Inference sends a duplicate-heavy batch to the similarity
+        kernel as one call over its unique circle positions.  Routing
+        reads the position memo instead: building it queries each
+        position at most once, and a warm memo makes no kernel call."""
         table = populate(_table(), 8)
         words = np.asarray([5, 7, 5, 9, 7, 5] * 50, dtype=np.uint64)
-        seen_query_counts = []
+        queried = []
         original = type(table.item_memory).query_batch_words
 
         def spy(self, query_words, **kwargs):
-            seen_query_counts.append(
-                np.atleast_2d(np.asarray(query_words)).shape[0]
-            )
+            queried.append(np.atleast_2d(np.asarray(query_words)).copy())
             return original(self, query_words, **kwargs)
 
         monkeypatch.setattr(
             type(table.item_memory), "query_batch_words", spy
         )
-        routed = table.route_batch(words)
-        assert seen_query_counts == [3]  # one call, one row per unique word
-        expected = {
-            word: table.route_word(int(word)) for word in (5, 7, 9)
-        }
+        inferred, __ = table.infer_batch(words)
+        assert [rows.shape[0] for rows in queried] == [3]
+
+        queried.clear()
+        routed = table.route_batch(words)  # builds the memo
+        rows = np.concatenate(queried)
+        assert rows.shape[0] <= table.codebook_size
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+        assert np.array_equal(routed, inferred)
+
+        queried.clear()
+        table.route_batch(words)
+        table._delta_scores(words)
+        expected = {word: table.route_word(int(word)) for word in (5, 7, 9)}
+        assert queried == []  # warm memo: gathers only
         assert routed.tolist() == [expected[int(w)] for w in words]
+
+        table._position_owners()  # infers every position not yet known
+        rows = np.concatenate(queried)
+        assert rows.shape[0] == table.codebook_size - 3
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
 class TestTieBreaks:

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.hashing import make_table
+from repro.hashing.base import DynamicHashTable
 from repro.hashing.registry import algorithm_entry, registered_algorithms
+from repro.memory import BurstError, FaultInjector, SingleBitFlips
 from repro.service import Router
 from repro.service.migration import DeltaTracker
 
@@ -33,6 +35,16 @@ DELTA_ALGORITHMS = [
     name
     for name in registered_algorithms()
     if "delta-close" in algorithm_entry(name).capabilities
+]
+
+#: Delta-native algorithms whose routing is a pure function of a fixed
+#: position set: their tracker closes every epoch by diffing position
+#: owners instead of re-routing anything.
+POSITION_ALGORITHMS = [
+    name
+    for name in DELTA_ALGORITHMS
+    if algorithm_entry(name).cls._route_positions
+    is not DynamicHashTable._route_positions
 ]
 
 #: Delta-native algorithms whose ``join`` takes a capacity weight.
@@ -210,7 +222,11 @@ class TestScopedCloseIsActuallyScoped:
         calls.clear()
         table.leave(ids[0])
         delta = tracker.close(left=[ids[0]])
-        assert calls == [delta.moved]  # exactly the departed slice
+        assert delta.moved > 0
+        if name in POSITION_ALGORITHMS:
+            assert calls == []  # position owners diffed, zero re-routes
+        else:
+            assert calls == [delta.moved]  # exactly the departed slice
 
     def test_opted_out_algorithm_falls_back_to_full_recompute(self):
         # Multi-probe overrides the kernels only to opt out; a named
@@ -231,6 +247,82 @@ class TestScopedCloseIsActuallyScoped:
         fill(table)
         fast, full = tracker_pair(table)
         table.join("newcomer")
+        assert_deltas_identical(fast.close(), full.close())
+
+
+class TestPositionGroupedClose:
+    """HD closes every epoch by diffing its position owners.
+
+    The diff reads the owners the table routes by *now*, so it must
+    stay bit-exact through memory faults as well as membership changes
+    -- the case the cached-score path cannot cover.
+    """
+
+    @pytest.mark.parametrize("expose_codebook", [False, True])
+    def test_random_epochs_with_bursts_bit_identical(self, expose_codebook):
+        rng = np.random.default_rng(31)
+        table = make_table(
+            "hd",
+            seed=5,
+            expose_codebook=expose_codebook,
+            **LIGHT_CONFIGS["hd"],
+        )
+        pool = fill(table, servers=10)
+        calls = []
+
+        def counting_lookup(words):
+            calls.append(words.size)
+            return table.lookup_words(words)
+
+        keys = np.arange(4_096, dtype=np.int64)
+        words = table.words_of_keys(keys)
+        fast = DeltaTracker(counting_lookup, table=table)
+        full = DeltaTracker(table.lookup_words)
+        fast.track(keys, words)
+        full.track(keys.copy(), words.copy())
+        calls.clear()
+        next_id = 0
+        moved_by_faults = 0
+        for step in range(30):
+            kind = ("join", "leave", "mixed", "burst", "flips")[step % 5]
+            events = {}
+            if kind in ("join", "mixed") or len(pool) <= 3:
+                joiner = "dyn-{:03d}".format(next_id)
+                next_id += 1
+                table.join(joiner)
+                pool.append(joiner)
+                events["joined"] = [joiner]
+            if kind in ("leave", "mixed") and len(pool) > 3:
+                leaver = pool.pop(int(rng.integers(len(pool) - 1)))
+                table.leave(leaver)
+                events["left"] = [leaver]
+            if kind == "burst":
+                FaultInjector(table.memory_regions()).inject(
+                    BurstError(length=int(rng.integers(64, 256))), rng
+                )
+            elif kind == "flips":
+                FaultInjector(table.memory_regions()).inject(
+                    SingleBitFlips(int(rng.integers(100, 400))), rng
+                )
+            fast_delta = fast.close(**events)
+            assert_deltas_identical(fast_delta, full.close(**events))
+            if kind in ("burst", "flips"):
+                moved_by_faults += fast_delta.moved
+        assert calls == []  # every close diffed position owners
+        assert moved_by_faults > 0  # the faults did move keys
+
+    def test_restore_behind_the_table_is_exact(self):
+        # Put the clean memory back after a burst, as the serving
+        # benchmark's misroute probe does: the keys return exactly.
+        rng = np.random.default_rng(8)
+        table = light_table("hd")
+        fill(table)
+        fast, full = tracker_pair(table)
+        injector = FaultInjector(table.memory_regions())
+        clean = injector.snapshot()
+        injector.inject(BurstError(length=400), rng)
+        assert_deltas_identical(fast.close(), full.close())
+        injector.restore(clean)
         assert_deltas_identical(fast.close(), full.close())
 
 
