@@ -980,15 +980,12 @@ def run_serving_scenario(
         puts = [entry for entry in batch if entry[0] == "put"]
         expected = [truth.get(entry[1], _NO_VALUE) for entry in gets]
         clock = perf_counter()
-        if gets:
-            values, found = batcher.serve_gets([entry[1] for entry in gets])
-        if deletes:
-            batcher.serve_deletes([entry[1] for entry in deletes])
-        if puts:
-            batcher.serve_puts(
-                [entry[1] for entry in puts],
-                [entry[2] for entry in puts],
-            )
+        values, found, __, __ = batcher.serve(
+            [entry[1] for entry in gets],
+            [entry[1] for entry in deletes],
+            [entry[1] for entry in puts],
+            [entry[2] for entry in puts],
+        )
         busy = perf_counter() - clock
         completion = start + busy
         server_free = completion

@@ -6,10 +6,10 @@ cooperating pieces:
 
 - :class:`~repro.serve.batcher.MicroBatcher` -- coalesces concurrent
   get/put/delete requests into micro-batches (flush on size or
-  deadline) dispatched through the data plane's bulk ops (one
-  ``owner_indices`` routing pass and one owner sort per batch), with
-  fixed batch visibility semantics (reads observe pre-batch state,
-  then deletes, then write-through puts).
+  deadline); a batch's cache misses, deletes and puts take one
+  :meth:`~repro.store.DataPlane.serve_batch` (one routing pass and one
+  store pass), with fixed batch visibility semantics (reads observe
+  pre-batch state, then deletes, then write-through puts).
 - :class:`~repro.serve.cache.HotKeyCache` -- a bounded LRU absorbing
   the Zipfian hot set, kept exact across membership churn by
   :class:`~repro.serve.frontend.EpochInvalidator`, which evicts

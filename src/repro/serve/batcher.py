@@ -6,20 +6,27 @@ into the other: concurrent get/put/delete requests enqueue onto a FIFO
 ``deque`` and are flushed as one micro-batch when either the batch
 fills (``max_batch``, default 256 keys) or the oldest request's
 deadline passes (``max_delay``, default 1 ms) -- the classic
-size-or-deadline coalescing loop.  A flushed batch is dispatched through
-the data plane's bulk ops (:meth:`~repro.store.DataPlane.get_many`,
-:meth:`~repro.store.DataPlane.put_many` and
-:meth:`~repro.store.DataPlane.delete_many`, each one routing pass and
-one owner sort), with the :class:`~repro.serve.cache.HotKeyCache`
-absorbing hot reads first.
+size-or-deadline coalescing loop.
+
+A flushed batch costs one cache probe and at most one data-plane call.
+The :class:`~repro.serve.cache.HotKeyCache` absorbs hot reads first;
+the misses, deletes and puts then go to the plane together, as one
+:meth:`~repro.store.DataPlane.serve_batch`: one hashing and routing
+pass over their union (reads fail over around avoided servers, writes
+keep their assigned owner) and one pass over the store dicts, with no
+per-server call.  A batch of cache hits never routes.
 
 Batch visibility semantics (what a mixed batch observes) are fixed and
 documented: **reads observe the pre-batch state**; then deletes apply;
 then puts apply (write-through into the cache).  A write becomes
 visible to reads from the *next* batch onward.  Requests never reorder
-across batches -- the queue is FIFO and a flush takes a prefix.
+across batches -- the queue is FIFO and a flush takes a prefix.  A
+batch whose dispatch raises fails alone: its unresolved futures get the
+exception (or, when none is left, the event loop's exception handler
+does) and the flush loop goes on serving.
 
-The dispatch core (:meth:`MicroBatcher.serve_gets` and friends) is
+The dispatch core (:meth:`MicroBatcher.serve`, with
+:meth:`~MicroBatcher.serve_gets` and friends as its one-op forms) is
 synchronous and loop-free to drive -- the emulator's open-loop scenario
 and the perf harness call it directly; the asyncio layer
 (:meth:`MicroBatcher.submit` + :meth:`MicroBatcher.run`) wraps the same
@@ -45,6 +52,13 @@ __all__ = ["Request", "MicroBatcher"]
 
 #: Sentinel distinguishing "stored None" from "absent".
 _MISSING = object()
+
+#: The empty results of an op class a batch does not hold; read-only,
+#: so every such batch shares them.
+_NO_VALUES = np.empty(0, dtype=object)
+_NO_VALUES.flags.writeable = False
+_NO_MASK = np.zeros(0, dtype=bool)
+_NO_MASK.flags.writeable = False
 
 #: Default flush-on-size threshold (keys per micro-batch).
 DEFAULT_MAX_BATCH = 256
@@ -91,6 +105,17 @@ def _resolve(futures, results) -> None:
     for future, result in zip(futures, results):
         if future is not None and not future.done():
             future.set_result(result)
+
+
+def _report(error: Exception) -> None:
+    """Surface a dispatch error that no future of its batch received."""
+    try:
+        loop = asyncio.get_running_loop()
+    except RuntimeError:
+        raise error from None
+    loop.call_exception_handler(
+        {"message": "micro-batch dispatch failed", "exception": error}
+    )
 
 
 class MicroBatcher:
@@ -147,77 +172,93 @@ class MicroBatcher:
 
     # -- synchronous dispatch core -----------------------------------------
 
-    def serve_gets(self, keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
-        """Serve a read batch: cache first, one batched routed read after.
+    def serve(
+        self,
+        gets: Sequence[Key],
+        deletes: Sequence[Key] = (),
+        puts: Sequence[Key] = (),
+        values: Sequence[Any] = (),
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Serve one mixed batch: ``(read_values, found, deleted, owners)``.
 
-        Returns ``(values, found)`` aligned to ``keys`` (the
-        :meth:`~repro.store.DataPlane.get_many` shape).  The whole
-        batch probes the cache in one
-        :meth:`~repro.serve.cache.HotKeyCache.get_many`; the misses
-        take one vectorized routed ``get_many`` and every found value
-        is installed back through one
-        :meth:`~repro.serve.cache.HotKeyCache.put_many` -- no per-key
-        cache traffic anywhere on the read path.
+        The whole read batch probes the cache in one
+        :meth:`~repro.serve.cache.HotKeyCache.get_many`; the misses,
+        deletes and puts then take one
+        :meth:`~repro.store.DataPlane.serve_batch` -- one routing pass
+        and one store pass, skipped when there is nothing to route --
+        and the cache follows in one bulk call each: found misses are
+        installed, removed keys invalidated, puts written through.
+        Results align to ``gets``, ``gets``, ``deletes`` and ``puts``
+        (the plane's shapes); a missing read is ``None`` with ``found``
+        false.
         """
         cache = self._cache
-        if cache is None:
-            values, found = self._plane.get_many(keys)
-            self._metrics.observe_cache(hits=0, misses=len(keys))
-            return values, found
-        values, found = cache.get_many(keys, default=_MISSING)
-        miss_positions = np.flatnonzero(~found)
-        self._metrics.observe_cache(
-            hits=len(keys) - len(miss_positions),
-            misses=len(miss_positions),
+        probed = cache is not None and len(gets) > 0
+        if probed:
+            read_values, found = cache.get_many(gets, default=_MISSING)
+            miss_positions = np.flatnonzero(~found)
+            misses = len(miss_positions)
+        else:
+            misses = len(gets)
+        if len(gets):
+            self._metrics.observe_cache(hits=len(gets) - misses, misses=misses)
+        if not (misses or len(deletes) or len(puts)):
+            # All hits, or nothing at all: nothing to route.
+            if not probed:
+                return _NO_VALUES, _NO_MASK, _NO_MASK, _NO_VALUES
+            return read_values, found, _NO_MASK, _NO_VALUES
+        if probed:
+            missed = [gets[position] for position in miss_positions.tolist()]
+        else:
+            missed = gets
+        fetched, present, deleted, owners = self._plane.serve_batch(
+            missed, deletes, puts, values
         )
-        if len(miss_positions):
-            missed_keys = [keys[position] for position in miss_positions.tolist()]
-            fetched, present = self._plane.get_many(missed_keys)
-            values[miss_positions] = fetched
+        if not probed:
+            read_values, found = fetched, present
+        elif misses:
+            read_values[miss_positions] = fetched
             found[miss_positions] = present
-            present_offsets = np.flatnonzero(present)
-            if len(present_offsets):
+            installed = np.flatnonzero(present)
+            if len(installed):
                 cache.put_many(
-                    [missed_keys[offset] for offset in present_offsets.tolist()],
-                    fetched[present_offsets],
+                    [missed[offset] for offset in installed.tolist()],
+                    fetched[installed],
                 )
-        if len(miss_positions):
             # The cache handed misses back as sentinels; the contract
-            # (and the cacheless path) reports them as None.
-            values[~found] = None
+            # reports them as None.
+            read_values[~found] = None
+        if cache is not None:
+            if len(deletes):
+                removed = np.flatnonzero(deleted)
+                if len(removed):
+                    cache.invalidate_many(
+                        [deletes[position] for position in removed.tolist()]
+                    )
+            if len(puts):
+                cache.put_many(puts, values)
+        return read_values, found, deleted, owners
+
+    def serve_gets(self, keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
+        """Serve a read batch (cache first); returns ``(values, found)``."""
+        values, found, __, __ = self.serve(keys)
         return values, found
 
     def serve_puts(self, keys: Sequence[Key], values: Sequence[Any]) -> np.ndarray:
         """Serve a write batch (write-through); returns owner ids."""
-        owners = self._plane.put_many(keys, values)
-        if self._cache is not None:
-            self._cache.put_many(keys, values)
-        return owners
+        return self.serve((), puts=keys, values=values)[3]
 
     def serve_deletes(self, keys: Sequence[Key]) -> np.ndarray:
-        """Serve a delete batch; returns a per-key deleted mask.
-
-        One :meth:`~repro.store.DataPlane.delete_many` routes the whole
-        batch (per-owner bulk removal, one accounting update per
-        owner); the keys actually removed are evicted from the cache in
-        one bulk invalidation, exactly as the scalar loop did per key.
-        """
-        deleted = self._plane.delete_many(keys)
-        if self._cache is not None:
-            removed = np.flatnonzero(deleted)
-            if len(removed):
-                self._cache.invalidate_many(
-                    [keys[position] for position in removed.tolist()]
-                )
-        return deleted
+        """Serve a delete batch; returns a per-key deleted mask."""
+        return self.serve((), deletes=keys)[2]
 
     def dispatch(self, batch: Sequence[Request]) -> None:
         """Serve one flushed micro-batch and resolve its futures.
 
-        Op order realises the documented batch semantics: every read
-        observes the pre-batch state, then deletes apply, then puts.
-        One pass partitions the batch by op, each op is served by one
-        bulk call, futures resolve in one slot-aligned loop per op (a
+        One pass partitions the batch by op and :meth:`serve` serves
+        all three op classes at once, in the documented order: every
+        read observes the pre-batch state, then deletes apply, then
+        puts.  Futures resolve in one slot-aligned loop per op (a
         cancelled future is skipped; its batch-mates still resolve),
         and the whole batch's latencies are one vectorized subtract
         into :meth:`~repro.serve.metrics.ServingMetrics.observe_latencies`.
@@ -231,18 +272,18 @@ class MicroBatcher:
         buckets = {"get": gets.append, "delete": deletes.append, "put": puts.append}
         for request in batch:
             buckets[request[0]](request)
+        values, found, deleted, owners = self.serve(
+            list(map(_KEY, gets)),
+            list(map(_KEY, deletes)),
+            list(map(_KEY, puts)),
+            list(map(_VALUE, puts)),
+        )
         if gets:
-            values, found = self.serve_gets(list(map(_KEY, gets)))
             _resolve(map(_FUTURE, gets), zip(found.tolist(), values.tolist()))
         if deletes:
-            removed = self.serve_deletes(list(map(_KEY, deletes)))
-            _resolve(map(_FUTURE, deletes), removed.tolist())
+            _resolve(map(_FUTURE, deletes), deleted.tolist())
         if puts:
-            owners = self.serve_puts(list(map(_KEY, puts)), list(map(_VALUE, puts)))
-            _resolve(
-                map(_FUTURE, puts),
-                owners.tolist() if isinstance(owners, np.ndarray) else owners,
-            )
+            _resolve(map(_FUTURE, puts), owners.tolist())
         now = self._clock()
         self._metrics.observe_ops(gets=len(gets), puts=len(puts), deletes=len(deletes))
         self._metrics.observe_batch(len(batch), busy_seconds=now - started)
@@ -252,11 +293,30 @@ class MicroBatcher:
         self._metrics.observe_latencies(now - enqueued)
 
     def flush(self) -> int:
-        """Dispatch one micro-batch, the queue's FIFO prefix; returns its size."""
+        """Dispatch one micro-batch, the queue's FIFO prefix; returns its size.
+
+        A batch whose dispatch raises (a key type the hash rejects, say)
+        fails as a whole: every future it has not resolved yet gets the
+        exception, and the queue behind it is served as usual.  An
+        error no future receives (one raised after the batch resolved)
+        goes to the running event loop's exception handler, or is
+        raised when no loop runs.
+        """
         queue = self._queue
         count = min(self.max_batch, len(queue))
         batch = list(starmap(queue.popleft, repeat((), count)))
-        self.dispatch(batch)
+        try:
+            self.dispatch(batch)
+        except Exception as error:
+            unresolved = [
+                future
+                for future in map(_FUTURE, batch)
+                if future is not None and not future.done()
+            ]
+            for future in unresolved:
+                future.set_exception(error)
+            if not unresolved:
+                _report(error)
         return len(batch)
 
     def drain(self) -> int:

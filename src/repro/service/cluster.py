@@ -253,12 +253,16 @@ class ClusterRouter(_RoutingSurface):
             yield np.flatnonzero(shards == shard_index), table, to_fleet
 
     def _index_words(
-        self, words: np.ndarray, avoided: Optional[Set[Key]]
+        self,
+        words: np.ndarray,
+        avoided: Optional[Set[Key]],
+        reads: Optional[int] = None,
     ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
-        """Fleet indices for ``words``, avoided owners failed over.
+        """Fleet indices for ``words``, avoided read owners failed over.
 
         Each shard routes its slice through its own table kernel and
-        fails its avoided owners over within the shard; the shard's
+        fails its avoided read owners over within the shard (a shard's
+        rows ascend, so its reads are a prefix of them); the shard's
         slots then become fleet indices through one integer gather.
         """
         ids = self.server_ids
@@ -267,7 +271,8 @@ class ClusterRouter(_RoutingSurface):
             shard_words = words[rows]
             slots = table.route_batch(shard_words)
             if avoided:
-                slots = _fail_over(table, shard_words, slots, avoided)
+                shard_reads = None if reads is None else int(rows.searchsorted(reads))
+                slots = _fail_over(table, shard_words, slots, avoided, shard_reads)
             index[rows] = to_fleet[slots]
         return index, ids
 

@@ -85,9 +85,12 @@ def _fail_over(
     words: np.ndarray,
     slots: np.ndarray,
     avoided: Set[Key],
+    reads: Optional[int] = None,
 ) -> np.ndarray:
     """``slots`` with every avoided primary moved to its first healthy replica.
 
+    Only the first ``reads`` rows are reads that may fail over (every
+    row when ``None``); the rest are writes and keep their assignment.
     One per-slot avoided mask, gathered at ``slots``, finds the flagged
     rows; they take one replica batch of ``k = min(pool, len(avoided)
     + 1)`` columns -- enough to hold a non-avoided server whenever one
@@ -101,7 +104,7 @@ def _fail_over(
         dtype=bool,
         count=table.server_count,
     )
-    flagged = np.flatnonzero(bad[slots])
+    flagged = np.flatnonzero(bad[slots[:reads]])
     if not flagged.size:
         return slots
     k = min(table.server_count, len(avoided) + 1)
@@ -309,10 +312,12 @@ class _RoutingSurface:
     A router supplies only how a key reaches its table: ``shards``
     (the :class:`Router` shards that hold the tables and fire the
     events; ``(self,)`` on a :class:`Router`), :meth:`words_of_keys`,
-    ``_locate(key) -> (table, word)``, ``_index_words(words, avoided)``
-    and ``_replica_index_words(words, k)`` -- the last two return
-    ``(index, ids)`` with ``ids[index]`` the owners.  It also keeps the
-    ``_avoided`` set and drops a flag when its server leaves.
+    ``_locate(key) -> (table, word)``, ``_index_words(words, avoided,
+    reads=None)`` (only the first ``reads`` rows fail over; every row
+    when ``None``) and ``_replica_index_words(words, k)`` -- the last
+    two return ``(index, ids)`` with ``ids[index]`` the owners.  It
+    also keeps the ``_avoided`` set and drops a flag when its server
+    leaves.
     """
 
     # -- membership --------------------------------------------------------
@@ -423,20 +428,23 @@ class _RoutingSurface:
         self,
         keys: Sequence[Key],
         avoid: Optional[Iterable[Key]] = None,
-        failover: bool = True,
+        reads: Optional[int] = None,
     ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
         """Batched owners as integers: ``ids[index[i]]`` owns ``keys[i]``.
 
         The one batch routing path: hash once, then ``_index_words``.
-        With ``failover``, every key whose owner is avoided -- the
-        persistent set plus any per-call ``avoid`` -- is served from its
-        first non-avoided replica (:func:`_fail_over`);
-        ``failover=False`` is the avoid-blind :meth:`assign` path.
-        Callers group keys by the integer index and turn indices into
-        server ids only where ids leave the call.
+        ``keys[:reads]`` are reads (every key when ``reads`` is
+        ``None``): each whose owner is avoided -- the persistent set
+        plus any per-call ``avoid`` -- is served from its first
+        non-avoided replica (:func:`_fail_over`), from the same words.
+        The keys after them are writes and keep their assigned owner,
+        so ``reads=0`` is the avoid-blind :meth:`assign` path; the data
+        plane routes a micro-batch's misses, deletes and puts in one
+        call.  Callers group keys by the integer index and turn indices
+        into server ids only where ids leave the call.
         """
-        avoided = self._avoid_set(avoid) if failover else None
-        return self._index_words(self.words_of_keys(keys), avoided)
+        avoided = None if reads == 0 else self._avoid_set(avoid)
+        return self._index_words(self.words_of_keys(keys), avoided, reads)
 
     def assign_batch(self, keys: Sequence[Key]) -> np.ndarray:
         """Batched :meth:`assign` (avoid-blind), as server ids."""
@@ -685,13 +693,16 @@ class Router(_RoutingSurface):
         return table, table.family.word(key)
 
     def _index_words(
-        self, words: np.ndarray, avoided: Optional[Set[Key]]
+        self,
+        words: np.ndarray,
+        avoided: Optional[Set[Key]],
+        reads: Optional[int] = None,
     ) -> Tuple[np.ndarray, Tuple[Key, ...]]:
-        """Table slots for ``words``, avoided owners failed over."""
+        """Table slots for ``words``, avoided read owners failed over."""
         table = self._table
         index = table.route_batch(words)
         if avoided:
-            index = _fail_over(table, words, index, avoided)
+            index = _fail_over(table, words, index, avoided, reads)
         return index, table.server_ids
 
     def _replica_index_words(

@@ -8,11 +8,15 @@ observable: after a resize epoch, a key that has been rerouted but not
 yet copied misses at its new owner until the migration executor
 commits it.
 
-The bulk ops group a batch by *integer* owner index: routing returns
-``(index, ids)``, one stable argsort plus ``bincount`` cuts the batch
-into per-owner chunks (:class:`_Groups`), and server ids appear only
-where they leave the call -- the store lookups and ``put_many``'s
-returned owners.
+A batch takes one routing pass and one store pass
+(:meth:`DataPlane.serve_batch`): the union of its reads, deletes and
+puts is hashed and routed once (``owner_indices(keys, reads=...)``:
+the reads fail over, the writes keep their assignment), and one
+:class:`~repro.store.store.FleetStores` pass applies the reads, then
+the deletes, then the puts to the store dicts.  Routing returns
+``(index, ids)``; server ids appear only where they leave the call, in
+the puts' returned owners.  ``get_many`` / ``put_many`` /
+``delete_many`` are one-op batches of the same pass.
 
 Stores of servers that left the fleet are intentionally retained --
 their keys are stranded until a migration plan drains them -- and can
@@ -22,22 +26,19 @@ be dropped with :meth:`DataPlane.prune` once empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from types import MappingProxyType
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..hashfn import Key
-from .store import ServerStore, is_numeric_batch
+from .store import FleetStores, ServerStore
 
 __all__ = ["DataPlane", "FleetImbalance"]
 
 #: Sentinel distinguishing "stored None" from "absent".
 _MISSING = object()
-
-#: Accounted bytes of one machine-scalar key/value pair (8 + 8).
-_PAIR_NBYTES = 16
 
 
 def _load_ratio(actual: float, ideal: float) -> float:
@@ -56,45 +57,21 @@ def _ratio_vector(actual: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Groups:
-    """One batch grouped by owner index: one stable sort plus ``bincount``.
+def _union(*parts: Sequence[Key]) -> Sequence[Key]:
+    """The parts as one key batch; a lone non-empty part is not copied.
 
-    ``order`` lists batch positions owner by owner, each owner's slice
-    in batch order -- so duplicate keys reach their store in sequence
-    and keep sequential semantics.  ``owners`` names the owner indices
-    that received keys, in index order; :meth:`split` cuts an aligned
-    sequence into their chunks.
+    Numpy parts join as builtins: the element-wise hash rejects numpy
+    scalars, and a numpy int part next to string keys hashes element
+    by element.
     """
-
-    def __init__(self, index: np.ndarray, owner_count: int):
-        self.order = np.argsort(index, kind="stable")
-        counts = np.bincount(index, minlength=owner_count)
-        owners = np.flatnonzero(counts)
-        stops = np.cumsum(counts[owners])
-        self._starts = stops - counts[owners]
-        self.owners: List[int] = owners.tolist()
-        self._bounds = list(zip(self._starts.tolist(), stops.tolist()))
-
-    def first_touch(self) -> List[int]:
-        """``owners`` in the order the batch first reaches them."""
-        firsts = self.order[self._starts]
-        return [self.owners[rank] for rank in np.argsort(firsts).tolist()]
-
-    def split(self, items: Sequence[Any]) -> Iterator[List[Any]]:
-        """``items`` permuted into owner order, one list per owner.
-
-        An array is gathered as an array and only each owner's chunk
-        becomes Python objects (builtins, which hash faster in the
-        store dicts than numpy scalars), so a million-key batch never
-        exists as a million Python ints at once.
-        """
-        if isinstance(items, np.ndarray):
-            ordered = items[self.order]
-            for start, stop in self._bounds:
-                yield ordered[start:stop].tolist()
-        else:
-            ordered = list(map(items.__getitem__, self.order.tolist()))
-            yield from (ordered[start:stop] for start, stop in self._bounds)
+    filled = [part for part in parts if len(part)]
+    if len(filled) == 1:
+        return filled[0]
+    return list(
+        chain.from_iterable(
+            part.tolist() if isinstance(part, np.ndarray) else part for part in filled
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -135,6 +112,11 @@ class DataPlane:
         self._router = router
         self._stores: Dict[Key, ServerStore] = {}
         self._mutations = 0
+        # ``(ids, owner ids as an object array, FleetStores)`` for the
+        # last routing id tuple; dropped whenever a store opens or goes.
+        self._fleet_cache: Optional[
+            Tuple[Tuple[Key, ...], np.ndarray, FleetStores]
+        ] = None
 
     # -- introspection ----------------------------------------------------
 
@@ -153,6 +135,7 @@ class DataPlane:
         store = self._stores.get(server_id)
         if store is None:
             store = self._stores[server_id] = ServerStore(server_id)
+            self._fleet_cache = None
         return store
 
     @property
@@ -343,79 +326,105 @@ class DataPlane:
 
     # -- bulk operations ---------------------------------------------------
 
-    def _owner_stores(
-        self, groups: _Groups, ids: Tuple[Key, ...]
-    ) -> List[Optional[ServerStore]]:
-        """Each grouped owner's store (None where it has none yet)."""
-        stores = self._stores
-        return [stores.get(ids[owner]) for owner in groups.owners]
+    def _fleet(self, ids: Tuple[Key, ...]) -> Tuple[np.ndarray, FleetStores]:
+        """The stores of routing id tuple ``ids``, in its index order.
+
+        Cached while the routing ids stay equal and no store opens or
+        goes, so a batch costs no per-server work.
+        """
+        cached = self._fleet_cache
+        if cached is None or (cached[0] is not ids and cached[0] != ids):
+            stores = self._stores
+            cached = self._fleet_cache = (
+                ids,
+                np.fromiter(ids, object, len(ids)),
+                FleetStores([stores.get(server_id) for server_id in ids]),
+            )
+        return cached[1], cached[2]
+
+    def serve_batch(
+        self,
+        reads: Sequence[Key],
+        deletes: Sequence[Key],
+        puts: Sequence[Key],
+        values: Sequence[Any],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One batch in one routing pass and one store pass.
+
+        Returns ``(read_values, found, deleted, owners)``, aligned to
+        ``reads``, ``reads``, ``deletes`` and ``puts``.  Every read
+        observes the pre-batch state at the key's *current* owner
+        (failing over around avoided servers); then every delete
+        applies at its *assigned* owner, then every put -- writes are
+        avoid-blind, so a transient health flag never strands data on
+        a failover replica.  Within each op class keys apply in batch
+        order: a repeated put's last value wins, a repeated delete
+        removes once.  Missing reads (including keys in flight
+        mid-migration) leave ``None`` with ``found`` false; ``owners``
+        are the puts' server ids.
+
+        The union of the three is hashed and routed once
+        (:meth:`~repro.service.Router.owner_indices` with the reads'
+        row count), the stores the puts open appear in first-touch
+        order, and one
+        :meth:`~repro.store.store.FleetStores.serve` applies the batch
+        straight to the store dicts, with the byte accounting and
+        per-store key order of the scalar loops.
+        """
+        r, d, p = len(reads), len(deletes), len(puts)
+        if p != len(values):
+            raise ValueError(
+                "serve_batch needs aligned puts, got {} keys and {} "
+                "values".format(p, len(values))
+            )
+        if not r + d + p:
+            return (
+                np.empty(0, dtype=object),
+                np.zeros(0, dtype=bool),
+                np.zeros(0, dtype=bool),
+                np.empty(0, dtype=object),
+            )
+        index, ids = self._router.owner_indices(_union(reads, deletes, puts), reads=r)
+        owner_ids, fleet = self._fleet(ids)
+        put_index = index[r + d :]
+        if p and fleet.absent[put_index].any():
+            # Open new stores in first-touch order, as sequential puts
+            # do: one O(batch) pass finds each owner's first put.
+            first = np.full(len(ids), p, dtype=np.int64)
+            np.minimum.at(first, put_index, np.arange(p))
+            opening = np.flatnonzero(fleet.absent & (first < p))
+            for owner in opening[np.argsort(first[opening])].tolist():
+                self.store(ids[owner])
+            owner_ids, fleet = self._fleet(ids)
+        read_values, found, deleted = fleet.serve(index, reads, deletes, puts, values)
+        self._mutations += p + int(np.count_nonzero(deleted))
+        return read_values, found, deleted, owner_ids[put_index]
 
     def put_many(self, keys: Sequence[Key], values: Sequence[Any]) -> np.ndarray:
         """Write aligned batches; returns each key's owning server id.
 
-        One routed assignment pass and one :class:`_Groups` sort, then
-        one :meth:`~repro.store.store.ServerStore.put_many` per owning
-        server -- a batch landing on few servers (the common case at
-        fleet scale) pays per-store, not per-key, overhead.  The batch
-        is priced once: an all-numeric batch (every key and value a
-        machine scalar, one :func:`~repro.store.store.is_numeric_batch`
-        probe each) charges each store 16 bytes per pair without a
-        per-item pass.
+        A put-only :meth:`serve_batch`: one routed assignment pass and
+        one store pass, bit-exact with looping :meth:`put`.  A batch
+        averaging 64 or more keys per server (a million-key set-up
+        load) is applied owner run by owner run, and an all-numeric
+        one is priced at 16 bytes a pair without an item pass.
         """
         if len(keys) != len(values):
             raise ValueError(
                 "put_many needs aligned batches, got {} keys and {} "
                 "values".format(len(keys), len(values))
             )
-        index, ids = self._router.owner_indices(keys, failover=False)
-        groups = _Groups(index, len(ids))
-        stores = self._owner_stores(groups, ids)
-        if None in stores:
-            # Open new stores in first-touch order, as sequential puts do.
-            for owner in groups.first_touch():
-                self.store(ids[owner])
-            stores = self._owner_stores(groups, ids)
-        numeric = is_numeric_batch(keys) and is_numeric_batch(values)
-        for store, group_keys, group_values in zip(
-            stores, groups.split(keys), groups.split(values)
-        ):
-            store.put_many(
-                group_keys,
-                group_values,
-                _PAIR_NBYTES * len(group_keys) if numeric else None,
-            )
-        self._mutations += len(keys)
-        return np.asarray(ids, dtype=object)[index]
+        return self.serve_batch((), (), keys, values)[3]
 
     def get_many(self, keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
         """Batched routed reads: ``(values, found)`` aligned to ``keys``.
 
         ``found`` is a boolean mask; missing keys (including in-flight
-        ones) leave ``None`` in ``values``.  Reads are grouped per
-        routed owner, served by one bulk store read each, and scattered
-        back into batch order with one fancy assignment.
+        ones) leave ``None`` in ``values``.  A read-only
+        :meth:`serve_batch`; a numpy batch never exists as Python ints
+        all at once.
         """
-        index, ids = self._router.owner_indices(keys)
-        groups = _Groups(index, len(ids))
-        gathered: List[Any] = []
-        hits: List[np.ndarray] = []
-        stores = self._owner_stores(groups, ids)
-        for store, group_keys in zip(stores, groups.split(keys)):
-            if store is None:
-                gathered.extend(repeat(None, len(group_keys)))
-                hits.append(np.zeros(len(group_keys), dtype=bool))
-                continue
-            group_values, group_found = store.get_many(group_keys)
-            gathered.extend(group_values)
-            hits.append(group_found)
-        n = len(index)
-        values = np.empty(n, dtype=object)
-        found = np.zeros(n, dtype=bool)
-        if hits:
-            # ``fromiter`` builds a flat object array, so tuple and
-            # array values stay whole (never broadcast into rows).
-            values[groups.order] = np.fromiter(gathered, dtype=object, count=n)
-            found[groups.order] = np.concatenate(hits)
+        values, found, __, __ = self.serve_batch(keys, (), (), ())
         return values, found
 
     def delete_many(self, keys: Sequence[Key]) -> np.ndarray:
@@ -425,28 +434,10 @@ class DataPlane:
         swallowed: each key is removed at its *assigned* owner
         (avoid-blind, like every storage mutation), absent keys --
         including in-flight ones and duplicates already consumed
-        earlier in the batch -- come back ``False``.  One routed
-        assignment pass, then one
-        :meth:`~repro.store.store.ServerStore.delete_many` (a single
-        accounting update) per owning server.
+        earlier in the batch -- come back ``False``.  A delete-only
+        :meth:`serve_batch`.
         """
-        n = len(keys)
-        deleted = np.zeros(n, dtype=bool)
-        if n == 0:
-            return deleted
-        index, ids = self._router.owner_indices(keys, failover=False)
-        groups = _Groups(index, len(ids))
-        hits: List[np.ndarray] = []
-        stores = self._owner_stores(groups, ids)
-        for store, group_keys in zip(stores, groups.split(keys)):
-            if store is None:
-                hits.append(np.zeros(len(group_keys), dtype=np.int64))
-            else:
-                hits.append(store.delete_many(group_keys))
-        removed = np.concatenate(hits)
-        deleted[groups.order] = removed.astype(bool)
-        self._mutations += int(removed.sum())
-        return deleted
+        return self.serve_batch((), keys, (), ())[2]
 
     # -- migration / accounting integration --------------------------------
 
@@ -471,6 +462,8 @@ class DataPlane:
         )
         for server_id in dropped:
             del self._stores[server_id]
+        if dropped:
+            self._fleet_cache = None
         return dropped
 
     def clone(self) -> "DataPlane":

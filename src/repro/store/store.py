@@ -10,13 +10,19 @@ written so the per-key work is one C-driven comprehension pass, with
 byte accounting folded into a single vectorized total per batch
 (:func:`total_nbytes`) instead of two :func:`item_nbytes` calls per
 key.  The scalar API is unchanged.
+
+:class:`FleetStores` is the data plane's store pass: it applies one
+routed batch of reads, deletes and puts to every owner's dict at once,
+with no call per store, so the dict layout and the accounting rule
+stay inside this module.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import repeat
-from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import is_, is_not, itemgetter, setitem
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +133,123 @@ def is_numeric_batch(objs: Sequence[Any]) -> bool:
     )
 
 
+def _costs(objs: Sequence[Any]) -> List[int]:
+    """``item_nbytes`` of each object; common types cost one C-level probe."""
+    costs = list(map(_FIXED_NBYTES.get, map(type, objs)))
+    if None in costs:
+        costs = [
+            item_nbytes(obj) if cost is None else cost for cost, obj in zip(costs, objs)
+        ]
+    return costs
+
+
+# -- one store's dict, in bulk ------------------------------------------------
+#
+# The bodies of the bulk ServerStore methods, on a bare items dict: the
+# methods and the fleet pass's owner runs (FleetStores) share them, and
+# each reports the byte change instead of applying it.
+
+
+def _put_pairs(
+    items: Dict[Key, Any],
+    keys: Sequence[Key],
+    values: Sequence[Any],
+    accounted_nbytes: Optional[int] = None,
+) -> Tuple[int, int]:
+    """Put aligned pairs into ``items``: ``(charged, net)`` bytes.
+
+    ``charged`` prices every pair, as the sequential puts' costs add up;
+    ``net`` is what the store's accounting moves by.
+    """
+    n = len(keys)
+    if items and not items.keys().isdisjoint(keys):
+        # Overwrites: measure what the batch replaces before the
+        # update clobbers it.
+        unique = set(keys)
+        if len(unique) != n:
+            # Duplicate keys inside the batch: later pairs supersede
+            # earlier ones with per-pair re-accounting; only the
+            # sequential replay gets that bit-exact.
+            charged = released = 0
+            for key, value in zip(keys, values):
+                old = items.get(key, _MISSING)
+                if old is not _MISSING:
+                    released += item_nbytes(key) + item_nbytes(old)
+                items[key] = value
+                charged += item_nbytes(key) + item_nbytes(value)
+            return charged, charged - released
+        hit = list(items.keys() & unique)
+        released = total_nbytes(hit) + total_nbytes([items[key] for key in hit])
+        if accounted_nbytes is None:
+            accounted_nbytes = total_nbytes(keys) + total_nbytes(values)
+        items.update(zip(keys, values))
+        return accounted_nbytes, accounted_nbytes - released
+    # Disjoint from the stored keys (the migration executor's case:
+    # fresh copies landing at their destination): no set build, no
+    # release pass -- duplicates inside the batch show up as a size
+    # delta smaller than the batch.
+    before = len(items)
+    items.update(zip(keys, values))
+    if len(items) - before != n:
+        # Duplicates within a disjoint batch: the dict already holds
+        # the sequential outcome (last value wins), and since nothing
+        # pre-existed, the exact net charge is one pass over the
+        # surviving pairs.  ``charged`` still prices every pair.
+        charged = total_nbytes(keys) + total_nbytes(values)
+        net = sum(item_nbytes(key) + item_nbytes(items[key]) for key in set(keys))
+        return charged, net
+    if accounted_nbytes is None:
+        accounted_nbytes = total_nbytes(keys) + total_nbytes(values)
+    return accounted_nbytes, accounted_nbytes
+
+
+def _read_pairs(items: Dict[Key, Any], keys: Sequence[Key]) -> Tuple[List[Any], int]:
+    """``(values, miss_count)`` of ``keys`` in ``items``; misses are :data:`MISSING`."""
+    n = len(keys)
+    try:
+        # ``itemgetter`` gathers the whole batch in one C call --
+        # measurably faster than a subscript comprehension at the
+        # executor's per-server chunk sizes.
+        if n > 1:
+            return list(itemgetter(*keys)(items)), 0
+        if n == 1:
+            return [items[keys[0]]], 0
+        return [], 0
+    except KeyError:
+        pass
+    values = list(map(items.get, keys, repeat(_MISSING)))
+    return values, n - sum(map(is_not, values, repeat(_MISSING)))
+
+
+def _pop_keys(
+    items: Dict[Key, Any],
+    keys: Sequence[Key],
+    accounted_nbytes: Optional[int] = None,
+) -> Tuple[List[Any], int, int]:
+    """Pop ``keys`` from ``items``: ``(popped, removed, released)``.
+
+    ``popped[i]`` is :data:`MISSING` where ``keys[i]`` was absent (or a
+    duplicate earlier in the batch consumed it).  ``accounted_nbytes``
+    stands for the released bytes only when every key hits.
+    """
+    before = len(items)
+    popped = list(map(items.pop, keys, repeat(_MISSING)))
+    removed = before - len(items)
+    if removed == len(popped):
+        if accounted_nbytes is None:
+            accounted_nbytes = total_nbytes(keys) + total_nbytes(popped)
+        return popped, removed, accounted_nbytes
+    if not removed:
+        return popped, 0, 0
+    hit_keys = []
+    live_values = []
+    for key, value in zip(keys, popped):
+        if value is not _MISSING:
+            hit_keys.append(key)
+            live_values.append(value)
+    return popped, removed, total_nbytes(hit_keys) + total_nbytes(live_values)
+
+
 class ServerStore:
     """One server's in-memory KV shard, with byte accounting."""
 
@@ -234,7 +357,8 @@ class ServerStore:
         Semantically identical to putting each pair in order (overwrites
         re-account, the returned total charges every pair), but the
         accounting is one vectorized pass per batch.  A batch with
-        internal duplicate keys falls back to the sequential puts.
+        internal duplicate keys that overwrites stored ones falls back
+        to the sequential puts.
 
         ``accounted_nbytes`` is a trusted total byte cost for the whole
         batch, supplied by callers that already measured these exact
@@ -250,49 +374,9 @@ class ServerStore:
             )
         if n == 0:
             return 0
-        items = self._items
-        if items and not items.keys().isdisjoint(keys):
-            # Overwrites: measure what the batch replaces before the
-            # update clobbers it.
-            unique = set(keys)
-            if len(unique) != n:
-                # Duplicate keys inside the batch: later pairs
-                # supersede earlier ones with per-pair re-accounting;
-                # only the sequential path gets that bit-exact.
-                return sum(
-                    self.put(key, value) for key, value in zip(keys, values)
-                )
-            hit = list(items.keys() & unique)
-            released = total_nbytes(hit) + total_nbytes(
-                [items[key] for key in hit]
-            )
-            if accounted_nbytes is None:
-                accounted_nbytes = total_nbytes(keys) + total_nbytes(values)
-            items.update(zip(keys, values))
-            self._nbytes += accounted_nbytes - released
-            return accounted_nbytes
-        # Disjoint from the stored keys (the migration executor's case:
-        # fresh copies landing at their destination): no set build, no
-        # release pass -- duplicates inside the batch show up as a size
-        # delta smaller than the batch.
-        before = len(items)
-        items.update(zip(keys, values))
-        if len(items) - before != n:
-            # Duplicates within a disjoint batch: the dict already
-            # holds the sequential outcome (last value wins), and since
-            # nothing pre-existed, the exact net charge is one pass
-            # over the surviving pairs.  The return value still charges
-            # every pair, as sequential puts would have.
-            charged = total_nbytes(keys) + total_nbytes(values)
-            self._nbytes += sum(
-                item_nbytes(key) + item_nbytes(items[key])
-                for key in set(keys)
-            )
-            return charged
-        if accounted_nbytes is None:
-            accounted_nbytes = total_nbytes(keys) + total_nbytes(values)
-        self._nbytes += accounted_nbytes
-        return accounted_nbytes
+        charged, net = _put_pairs(self._items, keys, values, accounted_nbytes)
+        self._nbytes += net
+        return charged
 
     def get_many(
         self, keys: Sequence[Key], default: Any = None
@@ -300,39 +384,23 @@ class ServerStore:
         """Read a key batch: ``(values, found)`` aligned to ``keys``.
 
         ``found`` is a boolean mask; absent keys carry ``default`` in
-        ``values``.  The mask is what lets bulk callers (the data
-        plane's routed reads, the serving tier's cache fills)
+        ``values``.  The mask is what lets bulk callers (the migration
+        executor's read-back, the control loop's drain checks)
         distinguish "stored None/default" from "absent" without a
         per-key membership probe.
         """
-        items = self._items
-        n = len(keys)
-        try:
-            # All-present fast path: one C-level gather.
-            if n > 1:
-                values = list(itemgetter(*keys)(items))
-            elif n == 1:
-                values = [items[keys[0]]]
-            else:
-                values = []
-        except KeyError:
-            pass
-        else:
-            # ``empty`` + ``fill`` costs a third of ``np.ones`` at the
-            # few-key sizes the data plane's per-owner reads run at.
+        values, misses = _read_pairs(self._items, keys)
+        n = len(values)
+        if not misses:
+            # ``empty`` + ``fill`` costs a third of ``np.ones`` at
+            # few-key sizes.
             found = np.empty(n, dtype=bool)
             found.fill(True)
             return values, found
-        missing = _MISSING
-        values = list(map(items.get, keys, repeat(missing)))
         # Identity-only probes: stored values may be arrays, whose
         # ``==`` is elementwise (so ``list.count`` would be unsafe).
-        found = np.fromiter(
-            (value is not missing for value in values),
-            dtype=bool,
-            count=len(values),
-        )
-        values = [default if value is missing else value for value in values]
+        found = np.fromiter(map(is_not, values, repeat(_MISSING)), bool, n)
+        values = [default if value is _MISSING else value for value in values]
         return values, found
 
     def read_many(self, keys: Sequence[Key]) -> Tuple[List[Any], int]:
@@ -344,25 +412,7 @@ class ServerStore:
         per-call cost of array construction would dominate small
         per-server chunks.
         """
-        items = self._items
-        n = len(keys)
-        try:
-            # ``itemgetter`` gathers the whole batch in one C call --
-            # measurably faster than a subscript comprehension at the
-            # executor's per-server chunk sizes.
-            if n > 1:
-                return list(itemgetter(*keys)(items)), 0
-            if n == 1:
-                return [items[keys[0]]], 0
-            return [], 0
-        except KeyError:
-            pass
-        missing = _MISSING
-        values = list(map(items.get, keys, repeat(missing)))
-        misses = 0
-        for value in values:
-            misses += value is missing
-        return values, misses
+        return _read_pairs(self._items, keys)
 
     def delete_many(
         self, keys: Sequence[Key], accounted_nbytes: Optional[int] = None
@@ -380,30 +430,11 @@ class ServerStore:
         executor's commit phase).  It is honoured only when every key
         hits; any miss falls back to exact per-item re-accounting.
         """
-        items = self._items
-        missing = _MISSING
-        before = len(items)
-        popped = [items.pop(key, missing) for key in keys]
-        removed = before - len(items)
+        popped, removed, released = _pop_keys(self._items, keys, accounted_nbytes)
+        self._nbytes -= released
         if removed == len(popped):
-            if accounted_nbytes is None:
-                accounted_nbytes = total_nbytes(keys) + total_nbytes(popped)
-            self._nbytes -= accounted_nbytes
             return np.ones(len(popped), dtype=np.int64)
-        hits = np.fromiter(
-            (value is not missing for value in popped),
-            dtype=np.int64,
-            count=len(popped),
-        )
-        if removed:
-            hit_keys = [
-                key
-                for key, value in zip(keys, popped)
-                if value is not missing
-            ]
-            live_values = [value for value in popped if value is not missing]
-            self._nbytes -= total_nbytes(hit_keys) + total_nbytes(live_values)
-        return hits
+        return np.fromiter(map(is_not, popped, repeat(_MISSING)), np.int64, len(popped))
 
     def discard_many(
         self, keys: Sequence[Key], accounted_nbytes: Optional[int] = None
@@ -416,23 +447,8 @@ class ServerStore:
         the tick's one pricing pass, making the all-hit case pure dict
         work).
         """
-        items = self._items
-        missing = _MISSING
-        before = len(items)
-        popped = [items.pop(key, missing) for key in keys]
-        removed = before - len(items)
-        if removed == len(popped):
-            if accounted_nbytes is None:
-                accounted_nbytes = total_nbytes(keys) + total_nbytes(popped)
-            self._nbytes -= accounted_nbytes
-        elif removed:
-            hit_keys = []
-            live_values = []
-            for key, value in zip(keys, popped):
-                if value is not missing:
-                    hit_keys.append(key)
-                    live_values.append(value)
-            self._nbytes -= total_nbytes(hit_keys) + total_nbytes(live_values)
+        __, removed, released = _pop_keys(self._items, keys, accounted_nbytes)
+        self._nbytes -= released
         return removed
 
     def evict_many(self, keys: Sequence[Key], accounted_nbytes: int) -> int:
@@ -462,3 +478,229 @@ class ServerStore:
         twin._items = dict(self._items)
         twin._nbytes = self._nbytes
         return twin
+
+
+# -- the fleet's stores, in one pass ------------------------------------------
+
+#: Consumes an iterator at C speed (the key-by-key put pass).
+_consume = deque(maxlen=0).extend
+
+#: An op class averaging at least this many keys per store in the fleet
+#: is applied owner run by owner run -- one stable sort, then one
+#: C-level dict call per run; anything smaller (a serving micro-batch)
+#: goes key by key with no per-store step at all.
+_RUN_KEYS = 64
+
+
+def _listed(batch: Sequence[Any]) -> Sequence[Any]:
+    """A numpy batch as builtins (which hash faster); anything else as is."""
+    return batch.tolist() if isinstance(batch, np.ndarray) else batch
+
+
+class _Runs:
+    """A batch in owner order: one stable argsort plus ``bincount``.
+
+    ``order`` lists batch positions owner by owner, each owner's run in
+    batch order -- so duplicate keys reach their store in sequence and
+    keep sequential semantics.  ``owners`` names the store indices that
+    received keys, in index order; :meth:`split` cuts an aligned
+    sequence into their runs.
+    """
+
+    def __init__(self, index: np.ndarray, owner_count: int):
+        self.order = np.argsort(index, kind="stable")
+        counts = np.bincount(index, minlength=owner_count)
+        owners = np.flatnonzero(counts)
+        stops = np.cumsum(counts[owners])
+        self.owners: List[int] = owners.tolist()
+        self._bounds = list(zip((stops - counts[owners]).tolist(), stops.tolist()))
+
+    def split(self, items: Sequence[Any]) -> Iterator[List[Any]]:
+        """``items`` permuted into owner order, one list per owner.
+
+        An array is gathered as an array and only each owner's run
+        becomes Python objects, so a million-key batch never exists as
+        a million Python ints at once.
+        """
+        if isinstance(items, np.ndarray):
+            ordered = items[self.order]
+            for start, stop in self._bounds:
+                yield ordered[start:stop].tolist()
+        else:
+            ordered = list(map(items.__getitem__, self.order.tolist()))
+            yield from (ordered[start:stop] for start, stop in self._bounds)
+
+    def unsort(self, column: np.ndarray) -> np.ndarray:
+        """``column``, in owner order, put back into batch order."""
+        out = np.empty_like(column)
+        out[self.order] = column
+        return out
+
+
+def _put_deltas(
+    keys: Sequence[Key], values: Sequence[Any], olds: Sequence[Any]
+) -> np.ndarray:
+    """Each put's net change to its store's bytes, in batch order.
+
+    ``olds[i]`` is what ``keys[i]`` held before the batch's puts
+    (:data:`MISSING` when absent).  A new key charges its key and
+    value; an overwrite charges its value and releases the old one (the
+    key's bytes cancel).  A key put twice counts once, at its last put:
+    sequentially every earlier put's charge is released by the next,
+    so the sum over the batch is the same.
+    """
+    n = len(keys)
+    fresh = np.fromiter(map(is_, olds, repeat(_MISSING)), bool, n)
+    # One pricing pass over all three; an absent old value prices as
+    # ``None``, at 0 bytes.
+    replaced = [None if old is _MISSING else old for old in olds]
+    key_costs, value_costs, old_costs = np.array(
+        _costs([*keys, *values, *replaced]), dtype=np.int64
+    ).reshape(3, n)
+    deltas = value_costs - old_costs + key_costs * fresh
+    if len(set(keys)) < n:
+        last = np.zeros(n, dtype=bool)
+        last[list(dict(zip(keys, range(n))).values())] = True
+        deltas[~last] = 0
+    return deltas
+
+
+class FleetStores:
+    """A fleet's stores in routing-index order: the one store pass.
+
+    ``stores[i]`` is the :class:`ServerStore` of the server at routing
+    index ``i``, or ``None`` where that server has no store yet (reads
+    and deletes there miss; ``absent`` marks them).  :meth:`serve`
+    applies a whole batch -- reads, then deletes, then puts -- straight
+    to the stores' dicts, with the byte accounting of the scalar
+    :meth:`ServerStore.put` / :meth:`ServerStore.delete` loop.
+    """
+
+    def __init__(self, stores: Sequence[Optional[ServerStore]]):
+        self._stores = list(stores)
+        empty: Dict[Key, Any] = {}
+        self._items = [
+            empty if store is None else store._items for store in self._stores
+        ]
+        self.absent = np.fromiter(
+            (store is None for store in self._stores), bool, len(self._stores)
+        )
+
+    def serve(
+        self,
+        index: np.ndarray,
+        reads: Sequence[Key],
+        deletes: Sequence[Key],
+        puts: Sequence[Key],
+        values: Sequence[Any],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply one batch: ``(read_values, found, deleted)``.
+
+        ``index`` holds each key's store index, for ``reads``, then
+        ``deletes``, then ``puts``.  Every read observes the pre-batch
+        state, then the deletes apply, then the puts, each op class in
+        batch order (a key repeated within a class keeps sequential
+        semantics).  Every put's store must exist.  ``read_values``
+        holds ``None`` where ``found`` is false.
+        """
+        r = len(reads)
+        w = r + len(deletes)
+        read_values, found = self._read(index[:r], reads)
+        deleted = self._delete(index[r:w], deletes)
+        self._put(index[w:], puts, values)
+        return read_values, found, deleted
+
+    def _runs(self, index: np.ndarray) -> Optional[_Runs]:
+        """Owner runs for a batch long enough to pay for them, else None."""
+        if len(index) < _RUN_KEYS * len(self._items):
+            return None
+        return _Runs(index, len(self._items))
+
+    def _rows(self, index: np.ndarray) -> List[Dict[Key, Any]]:
+        """Each key's store dict, for the key-by-key pass."""
+        return list(map(self._items.__getitem__, index.tolist()))
+
+    def _read(
+        self, index: np.ndarray, keys: Sequence[Key]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        n = len(keys)
+        if not n:
+            return np.empty(0, dtype=object), np.zeros(0, dtype=bool)
+        runs = self._runs(index)
+        misses = None
+        if runs is None:
+            gathered = list(
+                map(dict.get, self._rows(index), _listed(keys), repeat(_MISSING))
+            )
+        else:
+            gathered = []
+            misses = 0
+            for owner, chunk in zip(runs.owners, runs.split(keys)):
+                run_values, run_misses = _read_pairs(self._items[owner], chunk)
+                gathered.extend(run_values)
+                misses += run_misses
+        # ``fromiter`` builds a flat object array, so tuple and array
+        # values stay whole (never broadcast into rows).
+        values = np.fromiter(gathered, object, n)
+        if misses == 0:
+            found = np.ones(n, dtype=bool)
+        else:
+            found = np.fromiter(map(is_not, gathered, repeat(_MISSING)), bool, n)
+            values[~found] = None
+        if runs is not None:
+            values, found = runs.unsort(values), runs.unsort(found)
+        return values, found
+
+    def _delete(self, index: np.ndarray, keys: Sequence[Key]) -> np.ndarray:
+        n = len(keys)
+        if not n:
+            return np.zeros(0, dtype=bool)
+        stores = self._stores
+        runs = self._runs(index)
+        if runs is None:
+            keys = _listed(keys)
+            popped = list(map(dict.pop, self._rows(index), keys, repeat(_MISSING)))
+            deleted = np.fromiter(map(is_not, popped, repeat(_MISSING)), bool, n)
+            hits = np.flatnonzero(deleted).tolist()
+            if hits:
+                released = np.add(
+                    _costs([keys[position] for position in hits]),
+                    _costs([popped[position] for position in hits]),
+                )
+                for owner, nbytes in zip(index[hits].tolist(), released.tolist()):
+                    stores[owner]._nbytes -= nbytes
+            return deleted
+        popped = []
+        for owner, chunk in zip(runs.owners, runs.split(keys)):
+            run_popped, removed, released = _pop_keys(self._items[owner], chunk)
+            if removed:
+                stores[owner]._nbytes -= released
+            popped.extend(run_popped)
+        return runs.unsort(np.fromiter(map(is_not, popped, repeat(_MISSING)), bool, n))
+
+    def _put(
+        self, index: np.ndarray, keys: Sequence[Key], values: Sequence[Any]
+    ) -> None:
+        if not len(keys):
+            return
+        stores = self._stores
+        runs = self._runs(index)
+        if runs is None:
+            keys, values = _listed(keys), _listed(values)
+            rows = self._rows(index)
+            olds = list(map(dict.get, rows, keys, repeat(_MISSING)))
+            _consume(map(setitem, rows, keys, values))
+            deltas = _put_deltas(keys, values, olds)
+            changed = np.flatnonzero(deltas)
+            for owner, delta in zip(index[changed].tolist(), deltas[changed].tolist()):
+                stores[owner]._nbytes += delta
+            return
+        # Priced once: an all-numeric batch (every key and value a
+        # machine scalar) charges 16 bytes a pair without an item pass.
+        numeric = is_numeric_batch(keys) and is_numeric_batch(values)
+        for owner, run_keys, run_values in zip(
+            runs.owners, runs.split(keys), runs.split(values)
+        ):
+            accounted = 16 * len(run_keys) if numeric else None
+            __, net = _put_pairs(self._items[owner], run_keys, run_values, accounted)
+            stores[owner]._nbytes += net

@@ -1,14 +1,15 @@
 """Tests for the micro-batcher: dispatch core, semantics, asyncio loop."""
 
 import asyncio
+import inspect
 import random
 
 import pytest
 
 from repro.hashing import make_table
 from repro.serve import HotKeyCache, MicroBatcher, Request
-from repro.service import Router
-from repro.store import DataPlane
+from repro.service import ClusterRouter, Router
+from repro.store import DataPlane, ServerStore
 
 
 def build_plane(servers=6, seed=3):
@@ -142,6 +143,77 @@ class TestBatchSemantics:
         assert batcher.pending == 6
         assert batcher.drain() == 6
         assert batcher.pending == 0
+
+
+class TestOnePass:
+    """A micro-batch hashes and routes once and calls no store method."""
+
+    @pytest.fixture(params=["router", "cluster"])
+    def stack(self, request, monkeypatch):
+        fleet = ["srv-{}".format(index) for index in range(6)]
+        if request.param == "router":
+            router = Router(make_table("consistent", seed=3))
+        else:
+            router = ClusterRouter("consistent", n_shards=3, seed=3)
+        router.sync(fleet)
+        plane = DataPlane(router)
+        plane.put_many(list(range(100)), list(range(100)))
+        batcher = MicroBatcher(plane, cache=HotKeyCache(64))
+        hashed = []
+        for shard in router.shards:
+            table = shard.table
+            words_of_keys = table.words_of_keys
+
+            def counted(keys, words_of_keys=words_of_keys):
+                hashed.append(len(keys))
+                return words_of_keys(keys)
+
+            monkeypatch.setattr(table, "words_of_keys", counted)
+        return batcher, plane, hashed
+
+    @staticmethod
+    def mixed_batch():
+        return (
+            [Request("get", key) for key in range(0, 60, 2)]
+            + [Request("delete", key) for key in (1, 3, 5, "ghost")]
+            + [Request("put", key, -key) for key in (3, 7, 150, 151)]
+        )
+
+    @pytest.mark.parametrize("avoid", [False, True], ids=["healthy", "avoided"])
+    def test_misses_and_writes_hash_once(self, stack, avoid):
+        batcher, plane, hashed = stack
+        if avoid:
+            plane.router.avoid(plane.router.assign(0))
+        batcher.dispatch(self.mixed_batch())
+        assert hashed == [30 + 4 + 4]
+        hashed.clear()
+        batcher.dispatch([Request("put", "fresh", 1)])
+        assert hashed == [1]
+
+    def test_all_hit_batch_never_routes(self, stack):
+        batcher, __, hashed = stack
+        batcher.serve_gets(list(range(10)))
+        hashed.clear()
+        batcher.dispatch([Request("get", key) for key in range(10)])
+        assert hashed == []
+        assert batcher.cache.hits == 10
+
+    def test_dispatch_calls_no_store_method(self, stack, monkeypatch):
+        batcher, plane, __ = stack
+        called = []
+        for name, method in vars(ServerStore).items():
+            if inspect.isfunction(method) and name != "__init__":
+
+                def recorded(*args, name=name, method=method, **kwargs):
+                    called.append(name)
+                    return method(*args, **kwargs)
+
+                monkeypatch.setattr(ServerStore, name, recorded)
+        batcher.dispatch(self.mixed_batch())
+        assert called == []
+        monkeypatch.undo()
+        assert plane.get(3) == -3 and plane.get(150) == -150
+        assert plane.get(1, None) is None
 
 
 class TestFlushOrder:

@@ -193,3 +193,82 @@ class TestServingFrontendAsync:
             assert asyncio.run(scenario()) == 7
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestFailingBatch:
+    """A batch whose dispatch raises fails alone; the loop keeps serving."""
+
+    def test_bad_key_fails_its_batch_and_the_loop_keeps_serving(self):
+        async def scenario():
+            __, plane, __ = tracked_stack()
+            frontend = ServingFrontend(plane, max_batch=16, max_delay=0.002)
+            frontend.start()
+            # A float key is one the routing hash rejects; ``1`` shares
+            # its batch.
+            bad, good = frontend.lookup(3.5), frontend.lookup(1)
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(bad, good, return_exceptions=True), timeout=5.0
+            )
+            assert [type(outcome) for outcome in outcomes] == [TypeError] * 2
+            assert outcomes[0] is outcomes[1]
+            assert frontend.running
+            assert await asyncio.wait_for(frontend.lookup(2), timeout=5.0) == (
+                True,
+                2,
+            )
+            await frontend.stop()
+            frontend.close()
+
+        asyncio.run(scenario())
+
+    def test_drain_fails_the_bad_batch_and_serves_the_next(self):
+        async def scenario():
+            __, plane, __ = tracked_stack()
+            frontend = ServingFrontend(plane, max_batch=2, max_delay=60.0)
+            batcher = frontend.batcher
+            bad, good = frontend.lookup(3.5), frontend.put(7, "seven")
+            later = frontend.lookup(2)
+            assert batcher.drain() == 3
+            for future in (bad, good):
+                assert isinstance(future.exception(), TypeError)
+            assert later.result() == (True, 2)
+            assert plane.get(7) == 7  # the failed batch wrote nothing
+            frontend.close()
+
+        asyncio.run(scenario())
+
+    def test_error_after_the_batch_resolved_reaches_the_loop_handler(self):
+        async def scenario():
+            __, plane, __ = tracked_stack()
+            frontend = ServingFrontend(plane, max_batch=16, max_delay=0.002)
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            metrics = frontend.batcher.metrics
+            observe_ops = metrics.observe_ops
+            fault = RuntimeError("metrics fault")
+
+            def faulty(**counts):
+                observe_ops(**counts)
+                if not reported:
+                    raise fault
+
+            metrics.observe_ops = faulty
+            frontend.start()
+            # The fault strikes after the batch resolved its future.
+            assert await asyncio.wait_for(frontend.lookup(1), timeout=5.0) == (
+                True,
+                1,
+            )
+            assert [context["exception"] for context in reported] == [fault]
+            assert frontend.running
+            assert await asyncio.wait_for(frontend.lookup(2), timeout=5.0) == (
+                True,
+                2,
+            )
+            assert len(reported) == 1
+            await frontend.stop()
+            frontend.close()
+
+        asyncio.run(scenario())

@@ -120,8 +120,17 @@ class TestRoutingContract:
         assert [router.assign(key) for key in KEYS] == owners
         assert router.assign_batch(KEYS).tolist() == owners
         assert router.route_words(router.words_of_keys(KEYS)).tolist() == owners
-        index, ids = router.owner_indices(KEYS, avoid={"b"}, failover=False)
+        index, ids = router.owner_indices(KEYS, avoid={"b"}, reads=0)
         assert [ids[i] for i in index.tolist()] == owners
+
+    def test_reads_route_and_writes_assign_in_one_batch(self, router):
+        router.avoid("a")
+        reads = 150
+        index, ids = router.owner_indices(KEYS, avoid={"c"}, reads=reads)
+        owners = [ids[i] for i in index.tolist()]
+        assert owners[:reads] == router.route_batch(KEYS[:reads], avoid={"c"}).tolist()
+        assert owners[reads:] == router.assign_batch(KEYS[reads:]).tolist()
+        assert {"a", "c"} <= set(owners[reads:])
 
     def test_replica_head_is_the_assigned_owner(self, router):
         router.avoid("a")

@@ -14,9 +14,18 @@ keys inside one batch, absent keys, a departed server's stranded store,
 mixed int/str/bytes keys as lists and as numpy batches, and tuple,
 ndarray and ``None`` values (which a naive object-array scatter would
 broadcast into).
+
+``DataPlane.serve_batch`` -- a micro-batch's reads, deletes and puts in
+one routing pass and one store pass -- is pinned the same way against
+the documented scalar replay: every read on the pre-batch state, then
+the deletes, then the puts, over random batches that repeat keys within
+and across op classes, open new stores mid-batch and are large enough,
+now and then, to be applied owner run by owner run.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
@@ -221,3 +230,93 @@ def test_empty_batches_touch_nothing():
     check_get(bulk, scalar, [])
     check_delete(bulk, scalar, [])
     assert not bulk.stores
+
+
+def check_batch(bulk, scalar, reads, deletes, puts, values):
+    read_values, found, deleted, owners = bulk.serve_batch(reads, deletes, puts, values)
+    want_values, want_found = scalar_get(scalar, reads)
+    want_deleted = scalar_delete(scalar, deletes)
+    want_owners = scalar_put(scalar, puts, values)
+    assert read_values.shape == found.shape == (len(reads),)
+    assert deleted.shape == (len(deletes),) and owners.shape == (len(puts),)
+    assert found.dtype == deleted.dtype == bool and owners.dtype == object
+    assert found.tolist() == want_found
+    for got, want in zip(read_values, want_values):
+        assert _same(got, want)
+    assert deleted.tolist() == want_deleted
+    assert list(owners) == want_owners
+    assert_same_state(bulk, scalar)
+
+
+def _random_batch(rng, universe, size):
+    """Reads, deletes and puts over ``universe`` sharing some keys."""
+    shared = rng.sample(universe, 3)
+    reads = [rng.choice(universe) for __ in range(size)] + shared
+    deletes = [rng.choice(universe) for __ in range(size // 4)] + shared[:2]
+    puts = [rng.choice(universe) for __ in range(size // 2)] + shared
+    puts += puts[:2]  # a key put twice: the last value wins
+    deletes += deletes[:1]  # a key deleted twice: removed once
+    values = [_value(rng.randrange(1_000)) for __ in puts]
+    return reads, deletes, puts, values
+
+
+@pytest.mark.parametrize("avoid", [False, True], ids=["healthy", "avoided"])
+@pytest.mark.parametrize("sharded", [False, True], ids=["router", "cluster"])
+@pytest.mark.parametrize("algorithm", sorted(registered_algorithms()))
+def test_mixed_batches_match_the_scalar_replay(algorithm, sharded, avoid):
+    rng = random.Random("{}-{}-{}".format(algorithm, sharded, avoid))
+    bulk, scalar = _plane(algorithm, sharded), _plane(algorithm, sharded)
+    universe = _mixed_keys() + ["absent-{}".format(index) for index in range(10)]
+    if avoid:
+        for plane in (bulk, scalar):
+            plane.router.avoid(FLEET[1])
+
+    # On an empty plane: reads and deletes find no store, and the puts
+    # open every store in first-touch order.
+    check_batch(bulk, scalar, *_random_batch(rng, universe, 24))
+
+    for step in range(6):
+        if step == 2:
+            # A joiner owns keys but has no store until a put opens it.
+            for plane in (bulk, scalar):
+                plane.router.sync(FLEET + ("srv-new",))
+        reads, deletes, puts, values = _random_batch(rng, universe, 24)
+        if step == 3:
+            # Numpy key batches of each kind.
+            reads = np.asarray(reads, dtype=object)
+            deletes = np.asarray([key for key in deletes if isinstance(key, int)])
+            puts = np.asarray(puts, dtype=object)
+        check_batch(bulk, scalar, reads, deletes, puts, values)
+
+    # Only numeric keys, values and replaced values: new keys charge 16
+    # bytes a pair and overwrites nothing, repeated puts included.
+    numbers = list(range(1_000, 1_030))
+    check_batch(bulk, scalar, numbers, [], numbers[::2] + [1_001] * 2, list(range(17)))
+    check_batch(
+        bulk,
+        scalar,
+        numbers,
+        numbers[::3],
+        numbers[1::2] + [1_004] * 2,
+        [0.5 * index for index in range(17)],
+    )
+
+    # Op classes of 64+ keys per store go owner run by owner run: all
+    # three in the first batch, reads and puts in the second.
+    large = list(range(600))
+    check_batch(
+        bulk,
+        scalar,
+        np.asarray(large + [7, 7]),
+        large[:500] + ["absent-0", 4, 4],
+        np.asarray(large[100:] + [5, 5]),
+        np.arange(502) * 3,
+    )
+    check_batch(
+        bulk,
+        scalar,
+        large[50:],
+        np.asarray(large[1::3]),
+        large[:500],
+        [_value(index) for index in range(500)],
+    )
