@@ -6,9 +6,13 @@
   at the ``bench`` profile the margin is orders of magnitude;
 * at the paper's configuration, routing from the position memo >= 100x
   faster than Eq. 2 inference (``infer_batch``) on the same 256-key
-  batch, with identical answers.  Both sides run on the same host in
-  the same process, so the ratio does not swing with host speed the
-  way raw-rate floors do.
+  batch, with identical answers;
+* at the same configuration, filling a cold memo (the circle walk over
+  the codebook's consecutive differences) >= 2x faster than inferring
+  all 4,096 positions, with identical slots and distances.
+
+Both sides of each ratio run on the same host in the same process, so
+the ratios do not swing with host speed the way raw-rate floors do.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ _PAPER_BATCH = 256
 
 #: Minimum speedup of memo routing over Eq. 2 inference at that config.
 MEMO_SPEEDUP_FLOOR = 100.0
+
+#: Minimum speedup of a cold memo fill over inferring every position.
+FILL_SPEEDUP_FLOOR = 2.0
 
 
 def _best_per_word(fn, n_words, repeats=3):
@@ -98,3 +105,32 @@ def test_hd_memo_routing_at_least_100x_inference(capsys):
             )
         )
     assert speedup >= MEMO_SPEEDUP_FLOOR
+
+
+def test_hd_cold_memo_fill_at_least_2x_inference(capsys):
+    table = make_table("hd", seed=0)
+    for index in range(_PAPER_SERVERS):
+        table.join("srv-{:05d}".format(index))
+    positions = np.arange(table.codebook_size, dtype=np.uint64)
+
+    # Each timed fill starts from a fresh table's state: no memo entry
+    # and no codebook differences.
+    fill_seconds = _best_seconds(table._position_owners, 3, reset=table._reset_memo)
+    infer_seconds = _best_seconds(lambda: table.infer_batch(positions), 3)
+
+    slots, distances = table.infer_batch(positions)
+    assert np.array_equal(table._position_owners(), slots)
+    assert np.array_equal(table._memo()[1], distances)
+    speedup = infer_seconds / fill_seconds
+    with capsys.disabled():
+        print(
+            "\nHD paper config, {} servers, all {:,} positions: inference "
+            "{:.1f} ms, cold memo fill {:.1f} ms -> {:.1f}x".format(
+                _PAPER_SERVERS,
+                positions.size,
+                infer_seconds * 1e3,
+                fill_seconds * 1e3,
+                speedup,
+            )
+        )
+    assert speedup >= FILL_SPEEDUP_FLOOR

@@ -15,7 +15,9 @@ memory:
 * ``route_batch`` -- the data-parallel form ``index = count(pos < key)``,
   which is how a vectorized/GPU emulator evaluates successors for a
   whole batch at once (used by the robustness/uniformity campaigns,
-  mirroring the paper's emulator).
+  mirroring the paper's emulator).  The counts come from a
+  ``searchsorted`` over a sorted copy of the ring, which counts the
+  same entries as comparing every key with every position.
 
 Memory model and why consistent hashing is fragile (Figure 5): the
 sorted position array is the routing state.  A flipped bit displaces one
@@ -50,8 +52,8 @@ __all__ = ["ConsistentHashTable", "ConsistentConfig"]
 _CIRCLE_BITS = 32
 _CIRCLE_MASK = 0xFFFF_FFFF
 
-#: Chunk size (in comparison cells) for the data-parallel backend.
-_CHUNK_CELLS = 1 << 22
+#: Keys the ``count`` backend searches per call, bounding its temporaries.
+_COUNT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -291,15 +293,20 @@ class ConsistentHashTable(DynamicHashTable):
         return self._ring_slots[indices]
 
     def _route_batch_count(self, keys: np.ndarray) -> np.ndarray:
-        ring = self._ring_positions
-        size = ring.size
+        """``ring_slots[count(ring < key)]``, the count wrapping to 0.
+
+        The count is taken over the ring as stored, in any order: a
+        ``searchsorted`` over a sorted copy counts exactly the entries
+        below each key, even on a corrupted ring (unsorted, NaN or
+        infinite positions; NaN sorts last and is below no key).
+        """
+        ring = np.sort(self._ring_positions)
         out = np.empty(keys.size, dtype=np.int64)
-        chunk = max(1, _CHUNK_CELLS // max(1, size))
-        for start in range(0, keys.size, chunk):
-            stop = min(start + chunk, keys.size)
-            counts = (ring[None, :] < keys[start:stop, None]).sum(axis=1)
-            counts[counts == size] = 0
-            out[start:stop] = self._ring_slots[counts]
+        for start in range(0, keys.size, _COUNT_CHUNK):
+            stop = start + _COUNT_CHUNK
+            counts = np.searchsorted(ring, keys[start:stop], side="left")
+            # A count of the whole ring wraps to entry 0.
+            self._ring_slots.take(counts, mode="wrap", out=out[start:stop])
         return out
 
     def _route_batch(self, words: np.ndarray) -> np.ndarray:

@@ -54,7 +54,15 @@ from ..errors import CapacityError, StateError
 from ..hashfn import HashFamily, Key
 from ..hdc.basis import BasisSet, circular_basis
 from ..hdc.item_memory import ItemMemory
-from ..hdc.packing import as_words, hamming_words, unpack_bits
+from ..hdc.packing import (
+    CircleSteps,
+    as_words,
+    circle_hamming_words,
+    circle_steps,
+    hamming_words,
+    nearest_rows_circle,
+    unpack_bits,
+)
 from ..memory import MemoryRegion
 from .base import DynamicHashTable
 from .registry import register_table
@@ -65,6 +73,11 @@ __all__ = ["HDHashTable", "HDConfig"]
 DEFAULT_DIM = 10_000
 #: Codebook size; the paper requires n > k and leaves n unreported.
 DEFAULT_CODEBOOK_SIZE = 4_096
+
+#: Swept words one walked difference word costs: the walk gathers,
+#: popcounts and prefix-sums each word where the sweep XORs and
+#: popcounts contiguous rows.  Measured break-even of numpy's kernels.
+_WALK_WORD_COST = 4
 
 
 @dataclass(frozen=True)
@@ -250,6 +263,12 @@ class HDHashTable(DynamicHashTable):
     # Hamming distance, or -1 in both while unknown (never used, or the
     # winner left).  Unknown entries are inferred on first use; known
     # entries always equal what inference over the live memory answers.
+    #
+    # Inferring many positions at once, and a row's distance column, can
+    # take the circle walk (:func:`~repro.hdc.packing.nearest_rows_circle`)
+    # instead of the sweep: it reads the codebook's consecutive
+    # differences, kept as :class:`~repro.hdc.packing.CircleSteps` and
+    # derived from the live codebook.  :meth:`_circle` picks the cheaper.
 
     def _reset_memo(self) -> None:
         """Forget every entry (each is inferred again on first use)."""
@@ -257,6 +276,7 @@ class HDHashTable(DynamicHashTable):
         self._memo_distances = None
         self._memo_rows = b""
         self._memo_codebook = b""
+        self._circle_steps = None
 
     def _snapshot_memo(self) -> None:
         """Record the memory (and exposed codebook) the memo reflects."""
@@ -288,11 +308,20 @@ class HDHashTable(DynamicHashTable):
 
         A changed item-memory row can lose the positions it won and win
         any position where its new distance reaches the winner's; a
-        changed codebook entry changes its own position's query.  Those
+        changed codebook entry changes its own position's query (and
+        the codebook differences the circle walk reads).  Those
         positions are inferred again over the live memory; every other
         known position keeps a winner whose row and distance are
         unchanged.
         """
+        affected = np.zeros(self.codebook_size, dtype=bool)
+        if self._expose_codebook:
+            before = np.frombuffer(self._memo_codebook, dtype=np.uint64)
+            affected |= (
+                self._codebook_words != before.reshape(self._codebook_words.shape)
+            ).any(axis=1)
+            if affected.any():
+                self._circle_steps = None
         live = self._memory.memory_words()
         if not len(live):
             self._snapshot_memo()  # no row, so no entry is known
@@ -303,35 +332,56 @@ class HDHashTable(DynamicHashTable):
         else:
             changed = np.arange(len(live))  # rows added or removed behind the table
         if 2 * changed.size > len(live):
-            affected = np.ones(self.codebook_size, dtype=bool)  # one sweep is cheaper
+            affected[:] = True  # one pass over every position is cheaper
         else:
-            affected = np.zeros(self.codebook_size, dtype=bool)
             for row in changed:
                 affected |= self._memo_slots == row
                 affected |= self._column(row) <= self._memo_distances
-        if self._expose_codebook:
-            before = np.frombuffer(self._memo_codebook, dtype=np.uint64)
-            affected |= (
-                self._codebook_words != before.reshape(self._codebook_words.shape)
-            ).any(axis=1)
         self._infer_into_memo(np.flatnonzero(affected))
         self._snapshot_memo()
 
+    def _circle(self, positions: int) -> Optional[CircleSteps]:
+        """The codebook differences, when walking the circle costs less
+        than sweeping ``positions`` positions, else ``None``.
+
+        Per item-memory row the sweep reads ``positions`` full rows and
+        the walk the nonzero difference words plus one entry per
+        position.  Valid while the memo is settled (:meth:`_memo`).
+        """
+        sweep_words = positions * self._codebook_words.shape[1]
+        if sweep_words <= _WALK_WORD_COST * self.codebook_size:
+            return None  # the walk touches every position at least once
+        if self._circle_steps is None:
+            self._circle_steps = circle_steps(
+                self._codebook_words, self._memory.backend
+            )
+        walk_words = self._circle_steps.size + self.codebook_size
+        if _WALK_WORD_COST * walk_words < sweep_words:
+            return self._circle_steps
+        return None
+
     def _column(self, row: int) -> np.ndarray:
         """Hamming distance of item-memory ``row`` to every position."""
-        return hamming_words(
-            self._codebook_words,
-            self._memory.memory_words()[row],
-            self._memory.backend,
-        )
+        words = self._memory.memory_words()[row]
+        steps = self._circle(self.codebook_size)
+        if steps is None:
+            return hamming_words(self._codebook_words, words, self._memory.backend)
+        return circle_hamming_words(steps, words, self._memory.backend)[0]
 
     def _infer_into_memo(self, positions: np.ndarray) -> None:
         """Set the entries of (unique) ``positions`` by inference."""
-        if positions.size:
-            (
-                self._memo_slots[positions],
-                self._memo_distances[positions],
-            ) = self.infer_batch(positions.astype(np.uint64))
+        if not positions.size:
+            return
+        steps = self._circle(positions.size)
+        if steps is None:
+            slots, distances = self.infer_batch(positions.astype(np.uint64))
+        else:
+            slots, distances = nearest_rows_circle(
+                steps, self._memory.memory_words(), self._memory.backend
+            )
+            slots, distances = slots[positions], distances[positions]
+        self._memo_slots[positions] = slots
+        self._memo_distances[positions] = distances
 
     def _memo_at(self, positions: np.ndarray, distances: bool = False) -> np.ndarray:
         """Memo slots (or distances) at ``positions``, unknown ones
@@ -379,6 +429,7 @@ class HDHashTable(DynamicHashTable):
             row = self._memory.index_of(server_id)
         except KeyError:
             return None
+        self._memo()  # settles the codebook differences the column reads
         return -self._column(row)[self._route_positions(words)]
 
     def _route_word_replicas(self, word: int, k: int) -> np.ndarray:

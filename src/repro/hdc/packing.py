@@ -20,9 +20,17 @@ packed rows:
 
 The ablation benchmark E10 compares them; all are exact and
 interchangeable.
+
+A codebook whose neighbouring rows differ in few bits (the circle of
+Algorithm 1) also has a cheaper all-positions form: :class:`CircleSteps`
+keeps only the nonzero words of each consecutive difference, and
+:func:`circle_hamming_words` / :func:`nearest_rows_circle` walk the
+circle with them instead of sweeping every position's full row.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +48,10 @@ __all__ = [
     "hamming_packed_matrix",
     "nearest_rows_words",
     "top_k_rows_words",
+    "CircleSteps",
+    "circle_steps",
+    "circle_hamming_words",
+    "nearest_rows_circle",
 ]
 
 #: Bytes in one packed storage word.
@@ -143,13 +155,7 @@ def hamming_packed(a: np.ndarray, b: np.ndarray, backend: str = "auto") -> np.nd
         xor = np.bitwise_xor(np.asarray(a, np.uint8), np.asarray(b, np.uint8))
         return _POPCOUNT8[xor].sum(axis=-1, dtype=np.int64)
     xor = np.bitwise_xor(_as_words(a), _as_words(b))
-    if backend == "bitcount":
-        if not _HAS_BITWISE_COUNT:
-            raise ValueError("numpy.bitwise_count is unavailable")
-        return np.bitwise_count(xor).sum(axis=-1, dtype=np.int64)
-    if backend == "swar64":
-        return popcount_u64(xor).sum(axis=-1, dtype=np.int64)
-    raise ValueError("unknown popcount backend {!r}".format(backend))
+    return _popcounts(xor, backend).sum(axis=-1, dtype=np.int64)
 
 
 def hamming_packed_matrix(
@@ -181,6 +187,23 @@ def hamming_packed_matrix(
     return out
 
 
+def _popcounts(words: np.ndarray, backend: str) -> np.ndarray:
+    """Per-word popcount of a ``uint64`` array, same shape (small ints)."""
+    if backend == "auto":
+        backend = default_backend()
+    if backend == "bitcount":
+        if not _HAS_BITWISE_COUNT:
+            raise ValueError("numpy.bitwise_count is unavailable")
+        return np.bitwise_count(words)
+    if backend == "swar64":
+        return popcount_u64(words)
+    if backend == "lut8":
+        bytes_view = np.ascontiguousarray(words).view(np.uint8)
+        counts = _POPCOUNT8[bytes_view].reshape(words.shape + (_WORD_BYTES,))
+        return counts.sum(axis=-1, dtype=np.uint8)
+    raise ValueError("unknown popcount backend {!r}".format(backend))
+
+
 def hamming_words(a: np.ndarray, b: np.ndarray, backend: str = "auto") -> np.ndarray:
     """Hamming distance between ``uint64`` word rows (XOR + popcount).
 
@@ -189,19 +212,8 @@ def hamming_words(a: np.ndarray, b: np.ndarray, backend: str = "auto") -> np.nda
     every dimension except the last, so no per-query byte/word
     conversion happens here -- one XOR sweep, one popcount, one sum.
     """
-    if backend == "auto":
-        backend = default_backend()
     xor = np.bitwise_xor(np.asarray(a, np.uint64), np.asarray(b, np.uint64))
-    if backend == "bitcount":
-        if not _HAS_BITWISE_COUNT:
-            raise ValueError("numpy.bitwise_count is unavailable")
-        return np.bitwise_count(xor).sum(axis=-1, dtype=np.int64)
-    if backend == "swar64":
-        return popcount_u64(xor).sum(axis=-1, dtype=np.int64)
-    if backend == "lut8":
-        bytes_view = np.ascontiguousarray(xor).view(np.uint8)
-        return _POPCOUNT8[bytes_view].sum(axis=-1, dtype=np.int64)
-    raise ValueError("unknown popcount backend {!r}".format(backend))
+    return _popcounts(xor, backend).sum(axis=-1, dtype=np.int64)
 
 
 def nearest_rows_words(
@@ -236,6 +248,117 @@ def nearest_rows_words(
         best = block.argmin(axis=1)
         indices[start:stop] = best
         distances[start:stop] = block[np.arange(block.shape[0]), best]
+    return indices, distances
+
+
+class CircleSteps(NamedTuple):
+    """A codebook's consecutive differences ``δ_p = C[p] ^ C[p+1]``, sparse.
+
+    One entry per nonzero word of each difference, in position order:
+    ``words`` holds the entry's word index, ``masks`` the difference
+    word and ``bases`` the codebook word under it (``C[p] & δ_p``).
+    ``first`` is ``C[0]``; ``ends[p]`` counts the entries of the
+    differences before position ``p``, and ``flips[p]`` their bits.
+    Built by :func:`circle_steps`.
+    """
+
+    first: np.ndarray
+    words: np.ndarray
+    masks: np.ndarray
+    bases: np.ndarray
+    ends: np.ndarray
+    flips: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Nonzero difference words (the walk's per-row work)."""
+        return int(self.masks.size)
+
+    @property
+    def count(self) -> int:
+        """Codebook positions ``n``."""
+        return int(self.ends.size)
+
+
+def circle_steps(codebook_words: np.ndarray, backend: str = "auto") -> CircleSteps:
+    """The :class:`CircleSteps` of ``(n, row_words)`` codebook words.
+
+    Derived from the words as given, so a corrupted codebook yields the
+    differences of the corrupted rows.
+    """
+    codebook = np.atleast_2d(np.asarray(codebook_words, dtype=np.uint64))
+    differences = codebook[1:] ^ codebook[:-1]
+    positions, words = np.nonzero(differences)
+    masks = differences[positions, words]
+    flips = np.zeros(masks.size + 1, dtype=np.int64)
+    np.cumsum(_popcounts(masks, backend), dtype=np.int64, out=flips[1:])
+    ends = np.searchsorted(positions, np.arange(codebook.shape[0]), side="left")
+    return CircleSteps(
+        first=codebook[0].copy(),
+        words=words,
+        masks=masks,
+        bases=codebook[positions, words] & masks,
+        ends=ends,
+        flips=flips[ends],
+    )
+
+
+def circle_hamming_words(
+    steps: CircleSteps, rows: np.ndarray, backend: str = "auto"
+) -> np.ndarray:
+    """Hamming distance of each of ``rows`` to every codebook position.
+
+    Returns ``(len(rows), n)`` ``int64``, equal to :func:`hamming_words`
+    of every row against every codebook row.  Walks the circle: with
+    ``x = C[p] ^ r``, ``popcount(x ^ δ_p) = popcount(x) + |δ_p| -
+    2 popcount(x & δ_p)``, and ``x & δ_p`` is nonzero only at the
+    difference's nonzero words, so each row costs one full row at
+    position 0 plus ``steps.size`` words, not ``n`` full rows.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
+    # (C[p] ^ r) & δ_p at every entry, as (r & δ_p) ^ (C[p] & δ_p).
+    agree = rows[:, steps.words]
+    np.bitwise_and(agree, steps.masks, out=agree)
+    np.bitwise_xor(agree, steps.bases, out=agree)
+    prefix = np.zeros((rows.shape[0], steps.size + 1), dtype=np.int64)
+    np.cumsum(_popcounts(agree, backend), axis=1, dtype=np.int64, out=prefix[:, 1:])
+    distances = prefix[:, steps.ends]
+    distances *= -2
+    distances += steps.flips
+    distances += hamming_words(rows, steps.first, backend)[:, None]
+    return distances
+
+
+def nearest_rows_circle(
+    steps: CircleSteps,
+    memory_words: np.ndarray,
+    backend: str = "auto",
+    chunk_bytes: int = 32 * 1024 * 1024,
+) -> "tuple":
+    """Nearest memory row for every codebook position, by the circle walk.
+
+    Returns ``(indices, distances)`` ``int64`` arrays of length ``n``,
+    identical to :func:`nearest_rows_words` over all ``n`` codebook
+    rows (ties toward the lowest row index).  Memory rows are walked in
+    chunks whose gathered words, popcount temporaries (the ``swar64``
+    backend's are the largest), prefix sums and distances stay within
+    ``chunk_bytes``.
+    """
+    memory = np.atleast_2d(np.asarray(memory_words, dtype=np.uint64))
+    n = steps.count
+    columns = np.arange(n)
+    per_row_bytes = _WORD_BYTES * (6 * steps.size + 2 * n)
+    chunk = max(1, chunk_bytes // per_row_bytes)
+    indices = np.zeros(n, dtype=np.int64)
+    distances = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    for start in range(0, memory.shape[0], chunk):
+        block = circle_hamming_words(steps, memory[start : start + chunk], backend)
+        best = block.argmin(axis=0)
+        found = block[best, columns]
+        # Strict: a tie stays with the earlier chunk's (lower) row.
+        wins = found < distances
+        indices[wins] = best[wins] + start
+        distances[wins] = found[wins]
     return indices, distances
 
 

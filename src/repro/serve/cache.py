@@ -153,6 +153,11 @@ class HotKeyCache:
         hit_count = int(np.count_nonzero(found))
         self.hits += hit_count
         self.misses += n - hit_count
+        if default is not None and hit_count < n:
+            # ``fill`` stores the default whole in every cell (the hits
+            # overwrite theirs); a masked assignment would broadcast a
+            # tuple or array default.
+            values.fill(default)
         if hit_count:
             hit_slots = slots[found]
             values[found] = self._values[hit_slots]
@@ -160,8 +165,6 @@ class HotKeyCache:
                 self._clock, self._clock + hit_count, dtype=np.int64
             )
             self._clock += hit_count
-        if default is not None and hit_count < n:
-            values[~found] = default
         return values, found
 
     def peek(self, key: Key, default: Any = None) -> Any:

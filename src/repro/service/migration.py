@@ -24,6 +24,8 @@ accounting into a data plane contract:
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -452,21 +454,15 @@ class MigrationPlan:
         """
         if delta.moved == 0:
             return cls(tracked=delta.tracked, batches=(), epoch=epoch)
-        codes: Dict[Key, int] = {}
-
-        def code_of(server_id: Key) -> int:
-            return codes.setdefault(server_id, len(codes))
-
+        # An id seen for the first time takes the next code; the
+        # lookups run in C (the counter is called only on a miss).
+        codes: Dict[Key, int] = defaultdict(itertools.count().__next__)
         moved = delta.moved
         source_codes = np.fromiter(
-            (code_of(server_id) for server_id in delta.sources),
-            dtype=np.int64,
-            count=moved,
+            map(codes.__getitem__, delta.sources), dtype=np.int64, count=moved
         )
         destination_codes = np.fromiter(
-            (code_of(server_id) for server_id in delta.destinations),
-            dtype=np.int64,
-            count=moved,
+            map(codes.__getitem__, delta.destinations), dtype=np.int64, count=moved
         )
         combined = source_codes * len(codes) + destination_codes
         order = np.argsort(combined, kind="stable")

@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..hashfn import Key
-from .store import FleetStores, ServerStore
+from .store import FleetStores, ServerStore, stored_keys
 
 __all__ = ["DataPlane", "FleetImbalance"]
 
@@ -263,18 +263,9 @@ class DataPlane:
         vectorized hashing path); anything else stays ``object`` so key
         identity survives -- ``np.asarray`` on mixed types would coerce
         to strings and strand every non-string key at migration time.
+        Collected in C (:func:`~repro.store.store.stored_keys`).
         """
-        collected: List[Key] = list(
-            dict.fromkeys(
-                key
-                for store in self._stores.values()
-                for key in store.keys()
-            )
-        )
-        array = np.asarray(collected)
-        if array.dtype.kind in ("i", "u"):
-            return array
-        return np.asarray(collected, dtype=object)
+        return stored_keys(self._stores.values())
 
     def owner(self, key: Key) -> Key:
         """The server currently routed for ``key``."""

@@ -20,7 +20,7 @@ stay inside this module.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
+from itertools import chain, repeat
 from operator import is_, is_not, itemgetter, setitem
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -480,6 +480,30 @@ class ServerStore:
         return twin
 
 
+def stored_keys(stores: Iterable[ServerStore]) -> np.ndarray:
+    """Every key of ``stores``, store by store, first occurrence kept.
+
+    The keys are listed straight from the store dicts, in C.  A key
+    sits in two stores only while a retained-source migration (a
+    graceful drain's pre-copy) has copied it, so an integer key array
+    is returned as listed when its sort finds no repeat; any other key
+    list goes through ``dict.fromkeys``.  The dtype rule is
+    :meth:`~repro.store.DataPlane.keys`'.
+    """
+    keys: List[Key] = list(chain.from_iterable(store._items for store in stores))
+    array = np.asarray(keys)
+    if array.ndim == 1 and array.dtype.kind in "iu":
+        ordered = np.sort(array)
+        if not (ordered[1:] == ordered[:-1]).any():
+            return array
+    unique = list(dict.fromkeys(keys))
+    if len(unique) < len(keys):
+        array = np.asarray(unique)
+    if array.dtype.kind in "iu":
+        return array
+    return np.asarray(unique, dtype=object)
+
+
 # -- the fleet's stores, in one pass ------------------------------------------
 
 #: Consumes an iterator at C speed (the key-by-key put pass).
@@ -493,8 +517,11 @@ _RUN_KEYS = 64
 
 
 def _listed(batch: Sequence[Any]) -> Sequence[Any]:
-    """A numpy batch as builtins (which hash faster); anything else as is."""
-    return batch.tolist() if isinstance(batch, np.ndarray) else batch
+    """A 1-D numpy batch as builtins (which hash faster); anything else,
+    a 2-D array of value rows included, as is."""
+    if isinstance(batch, np.ndarray) and batch.ndim == 1:
+        return batch.tolist()
+    return batch
 
 
 class _Runs:
@@ -508,7 +535,10 @@ class _Runs:
     """
 
     def __init__(self, index: np.ndarray, owner_count: int):
-        self.order = np.argsort(index, kind="stable")
+        # On the narrowest dtype holding every owner index, numpy's
+        # stable sort is a radix sort.
+        narrow = index.astype(np.min_scalar_type(max(owner_count - 1, 0)))
+        self.order = np.argsort(narrow, kind="stable")
         counts = np.bincount(index, minlength=owner_count)
         owners = np.flatnonzero(counts)
         stops = np.cumsum(counts[owners])
@@ -518,11 +548,12 @@ class _Runs:
     def split(self, items: Sequence[Any]) -> Iterator[List[Any]]:
         """``items`` permuted into owner order, one list per owner.
 
-        An array is gathered as an array and only each owner's run
+        A 1-D array is gathered as an array and only each owner's run
         becomes Python objects, so a million-key batch never exists as
-        a million Python ints at once.
+        a million Python ints at once.  A 2-D array splits into its
+        rows, each kept as an array.
         """
-        if isinstance(items, np.ndarray):
+        if isinstance(items, np.ndarray) and items.ndim == 1:
             ordered = items[self.order]
             for start, stop in self._bounds:
                 yield ordered[start:stop].tolist()

@@ -51,6 +51,93 @@ class TestSuccessorSemantics:
             ConsistentHashTable(search="interpolate")
 
 
+def _dense_count_route(table, words):
+    """The count backend by definition: every key against every ring
+    entry as stored, ``count(ring < key)`` wrapping to 0 at the end."""
+    ring = table._ring_positions
+    keys = table._keys_of_words(np.asarray(words, dtype=np.uint64))
+    counts = (ring[None, :] < keys[:, None]).sum(axis=1)
+    counts[counts == ring.size] = 0
+    return table._ring_slots[counts]
+
+
+class TestCountMatchesDenseComparison:
+    """The count backend's sorted-copy search counts the same entries as
+    the dense comparison, whatever the ring holds."""
+
+    @staticmethod
+    def _table(position_dtype, replicas=4):
+        return populate(
+            ConsistentHashTable(
+                seed=6, replicas=replicas, position_dtype=position_dtype
+            ),
+            12,
+        )
+
+    @staticmethod
+    def _words(table, rng, count=4_000):
+        words = rng.integers(0, 2**64, count, dtype=np.uint64)
+        # Keys exactly on ring positions, and the circle's two ends.
+        on_ring = table._ring_positions.astype(np.float64)
+        if table.position_dtype == "float32":
+            on_ring = on_ring[np.isfinite(on_ring) & (on_ring >= 0) & (on_ring < 1)]
+            on_ring = on_ring * 2.0**32
+        fixed = np.clip(on_ring, 0, 2**32 - 1).astype(np.uint64)
+        edges = np.asarray([0, 2**32 - 1], dtype=np.uint64)
+        return np.concatenate([words, np.r_[fixed, edges] << np.uint64(32)])
+
+    def assert_matches(self, table, words):
+        dense = _dense_count_route(table, words)
+        assert np.array_equal(table.route_batch(words), dense)
+
+    @pytest.mark.parametrize("position_dtype", ["fixed32", "float32"])
+    def test_flipped_bits(self, position_dtype):
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            table = self._table(position_dtype)
+            words = self._words(table, rng)
+            self.assert_matches(table, words)
+            # Flip random bits of the ring in place: the ring goes
+            # unsorted, and a float32 exponent flip can make NaN or inf.
+            raw = table._ring_positions.view(np.uint8)
+            for __ in range(int(rng.integers(1, 6))):
+                byte = int(rng.integers(raw.size))
+                raw[byte] ^= np.uint8(1 << int(rng.integers(8)))
+            self.assert_matches(table, words)
+
+    def test_float32_nan_inf_signed_zero_and_duplicates(self):
+        rng = np.random.default_rng(9)
+        table = self._table("float32")
+        words = self._words(table, rng)
+        ring = table._ring_positions
+        ring[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, np.nan]
+        ring[6:10] = ring[10]  # duplicates, out of order
+        self.assert_matches(table, words)
+        ring[:] = np.nan  # no entry below any key: everything wraps to 0
+        self.assert_matches(table, words)
+        assert (table.route_batch(words) == table._ring_slots[0]).all()
+
+    @pytest.mark.parametrize("position_dtype", ["fixed32", "float32"])
+    def test_batches_spanning_several_searches(self, position_dtype):
+        # Long batches are counted in chunks of keys; the last is partial.
+        rng = np.random.default_rng(11)
+        table = self._table(position_dtype)
+        ring = table._ring_positions
+        ring[::5] = ring[1::5]  # duplicates, out of order
+        words = rng.integers(0, 2**64, 150_001, dtype=np.uint64)
+        self.assert_matches(table, words)
+
+    def test_fixed32_unsorted_with_duplicates(self):
+        rng = np.random.default_rng(10)
+        table = self._table("fixed32")
+        words = self._words(table, rng)
+        ring = table._ring_positions
+        ring[::-1] = ring.copy()  # reversed
+        ring[3] = ring[7] = 0
+        ring[4] = ring[5] = 2**32 - 1
+        self.assert_matches(table, words)
+
+
 class TestRingMaintenance:
     def test_ring_sorted_after_churn(self):
         table = populate(ConsistentHashTable(seed=3), 32)

@@ -6,14 +6,17 @@ position.  The memo is kept current incrementally (join columns, leave
 re-queries, repairs after memory changes), so these oracles drive
 seeded random schedules of every way the table's state can change and,
 after every step, compare each routing surface -- ``route_batch``,
-``route_word``, ``_delta_scores``, ``infer_batch`` and the position
-owners -- with a brute-force sweep over the live memory.
+``route_word``, ``_delta_scores``, ``infer_batch``, the position
+owners and every memo entry -- with a brute-force sweep over the live
+memory, on a small circle that sweeps and on one large enough for
+join columns and cold fills to walk the codebook's differences.
 """
 
 import numpy as np
 import pytest
 
 from repro.hashing import HDHashTable
+from repro.hashing import hd as hd_module
 from repro.hashing.base import DynamicHashTable
 from repro.hdc import BasisSet
 from repro.hdc.packing import hamming_packed_matrix
@@ -53,8 +56,16 @@ def assert_memo_exact(table, words):
     inferred_slots, inferred_distances = table.infer_batch(words)
     assert np.array_equal(inferred_slots, slots)
     assert np.array_equal(inferred_distances, distances)
-    owners, __ = sweep(table, np.arange(table.codebook_size))
+    positions = np.arange(table.codebook_size)
+    owners, owner_distances = sweep(table, positions)
     assert np.array_equal(table._position_owners(), owners)
+    # Every memo entry, filled by inference or by the circle walk.
+    memo_slots, memo_distances = table._memo()
+    inferred_slots, inferred_distances = table.infer_batch(positions)
+    assert np.array_equal(memo_slots, owners)
+    assert np.array_equal(memo_distances, owner_distances)
+    assert np.array_equal(inferred_slots, owners)
+    assert np.array_equal(inferred_distances, owner_distances)
 
 
 def fresh_table(expose_codebook):
@@ -63,66 +74,102 @@ def fresh_table(expose_codebook):
     )
 
 
+def run_random_schedule(table, words, rng, max_servers=24):
+    """Random joins, leaves, faults, snapshots and edits, with the memo
+    checked against the brute-force sweep after every step."""
+    next_id = 0
+
+    def fresh_ids(count):
+        nonlocal next_id
+        ids = ["srv-{:03d}".format(next_id + index) for index in range(count)]
+        next_id += count
+        return ids
+
+    table.join_many(fresh_ids(6))
+    assert_memo_exact(table, words)
+    steps = [
+        "join",
+        "leave",
+        "join_many",
+        "leave_many",
+        "burst",
+        "flips",
+        "snapshot",
+        "edit",
+        "cold",
+    ]
+    seen = set()
+    for __ in range(80):
+        step = steps[int(rng.integers(len(steps)))]
+        members = list(table.server_ids)
+        if step == "join" and len(members) < max_servers:
+            table.join(fresh_ids(1)[0])
+        elif step == "leave" and len(members) > 1:
+            table.leave(members[int(rng.integers(len(members)))])
+        elif step == "join_many" and len(members) < max_servers - 4:
+            table.join_many(fresh_ids(int(rng.integers(2, 5))))
+        elif step == "leave_many" and len(members) > 3:
+            picks = rng.choice(len(members), size=2, replace=False)
+            table.leave_many([members[index] for index in picks])
+        elif step == "burst":
+            FaultInjector(table.memory_regions()).inject(
+                BurstError(length=int(rng.integers(1, 48))), rng
+            )
+        elif step == "flips":
+            FaultInjector(table.memory_regions()).inject(
+                SingleBitFlips(int(rng.integers(1, 64))), rng
+            )
+        elif step == "snapshot":
+            table = DynamicHashTable.from_state(table.state_dict())
+        elif step == "edit":
+            rows = table.item_memory.memory_view()
+            row = int(rng.integers(rows.shape[0]))
+            rows[row, int(rng.integers(rows.shape[1]))] ^= np.uint8(
+                rng.integers(1, 256)
+            )
+        elif step == "cold":
+            table._reset_memo()  # every entry unknown, then one fill
+            table._position_owners()
+        else:
+            continue
+        seen.add(step)
+        assert_memo_exact(table, words)
+    assert seen == set(steps)
+
+
 class TestMemoMatchesSweep:
     @pytest.mark.parametrize("expose_codebook", [False, True])
     def test_random_schedule(self, expose_codebook):
         rng = np.random.default_rng(41)
         words = rng.integers(0, 2**64, 1_500, dtype=np.uint64)
-        table = fresh_table(expose_codebook)
-        next_id = 0
+        run_random_schedule(fresh_table(expose_codebook), words, rng)
 
-        def fresh_ids(count):
-            nonlocal next_id
-            ids = ["srv-{:03d}".format(next_id + index) for index in range(count)]
-            next_id += count
-            return ids
+    @pytest.mark.parametrize("expose_codebook", [False, True])
+    def test_random_schedule_on_a_walked_circle(self, expose_codebook, monkeypatch):
+        # A circle large enough for join columns and cold fills to walk
+        # the codebook's differences instead of sweeping it.
+        walks = {"fill": 0, "column": 0}
 
-        table.join_many(fresh_ids(6))
-        assert_memo_exact(table, words)
-        steps = [
-            "join",
-            "leave",
-            "join_many",
-            "leave_many",
-            "burst",
-            "flips",
-            "snapshot",
-            "edit",
-        ]
-        seen = set()
-        for __ in range(80):
-            step = steps[int(rng.integers(len(steps)))]
-            members = list(table.server_ids)
-            if step == "join" and len(members) < 24:
-                table.join(fresh_ids(1)[0])
-            elif step == "leave" and len(members) > 1:
-                table.leave(members[int(rng.integers(len(members)))])
-            elif step == "join_many" and len(members) < 20:
-                table.join_many(fresh_ids(int(rng.integers(2, 5))))
-            elif step == "leave_many" and len(members) > 3:
-                picks = rng.choice(len(members), size=2, replace=False)
-                table.leave_many([members[index] for index in picks])
-            elif step == "burst":
-                FaultInjector(table.memory_regions()).inject(
-                    BurstError(length=int(rng.integers(1, 48))), rng
-                )
-            elif step == "flips":
-                FaultInjector(table.memory_regions()).inject(
-                    SingleBitFlips(int(rng.integers(1, 64))), rng
-                )
-            elif step == "snapshot":
-                table = DynamicHashTable.from_state(table.state_dict())
-            elif step == "edit":
-                rows = table.item_memory.memory_view()
-                row = int(rng.integers(rows.shape[0]))
-                rows[row, int(rng.integers(DIM // 8))] ^= np.uint8(
-                    rng.integers(1, 256)
-                )
-            else:
-                continue
-            seen.add(step)
-            assert_memo_exact(table, words)
-        assert seen == set(steps)
+        def counting(name, kernel):
+            def spy(*args, **kwargs):
+                walks[name] += 1
+                return kernel(*args, **kwargs)
+
+            return spy
+
+        for name, attribute in (
+            ("fill", "nearest_rows_circle"),
+            ("column", "circle_hamming_words"),
+        ):
+            kernel = getattr(hd_module, attribute)
+            monkeypatch.setattr(hd_module, attribute, counting(name, kernel))
+        rng = np.random.default_rng(43)
+        words = rng.integers(0, 2**64, 1_500, dtype=np.uint64)
+        table = HDHashTable(
+            seed=9, dim=1_024, codebook_size=1_024, expose_codebook=expose_codebook
+        )
+        run_random_schedule(table, words, rng, max_servers=16)
+        assert walks["fill"] and walks["column"]
 
     def test_fault_restored_behind_the_table(self):
         # The misroute probe of the serving benchmark: corrupt, route,

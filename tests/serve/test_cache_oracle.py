@@ -264,6 +264,18 @@ class TestBulkSurfaces:
         assert values[0] == "d" and not found[0]
         values, found = cache.get_many([])
         assert values.shape == (0,) and found.shape == (0,)
+        # A sequence default fills each miss whole, as scalar ``get``
+        # returns it -- with one hit among the misses and with none.
+        pair = (0, 0)
+        for keys in (["a", "ghost", "nope"], ["ghost", "nope", "gone"]):
+            values, found = cache.get_many(keys, default=pair)
+            assert values.shape == (3,)
+            for value, hit in zip(values, found):
+                assert value == 1 if hit else value is pair
+        assert cache.get("ghost", pair) is pair
+        row = np.arange(2)
+        values, found = cache.get_many(["ghost", "a", "nope"], default=row)
+        assert values[0] is row and values[1] == 1 and values[2] is row
 
     def test_get_many_duplicate_key_counts_each_position(self):
         cache = HotKeyCache(4)

@@ -4,6 +4,8 @@ import asyncio
 import gc
 import warnings
 
+import numpy as np
+
 from repro.hashing import make_table
 from repro.serve import EpochInvalidator, HotKeyCache, ServingFrontend, ServingMetrics
 from repro.service import ClusterRouter, Router
@@ -104,6 +106,27 @@ class TestServingFrontendAsync:
             frontend.close()
 
         asyncio.run(scenario())
+
+    def test_cached_and_uncached_reads_agree_in_type(self):
+        # A 2-d value batch written through the batcher: the cache holds
+        # its rows as arrays, and so must the stores behind it.
+        async def scenario():
+            router, plane, population = tracked_stack()
+            frontend = ServingFrontend(plane, max_batch=16, max_delay=0.002)
+            keys = ["row-{}".format(index) for index in range(4)]
+            rows = np.arange(8).reshape(4, 2)
+            frontend.batcher.serve_puts(keys, rows)
+            frontend.start()
+            cached = await frontend.get(keys[0])
+            frontend.cache.invalidate_many(keys)
+            stored = await frontend.get(keys[0])
+            await frontend.stop()
+            frontend.close()
+            return cached, stored
+
+        cached, stored = asyncio.run(scenario())
+        assert type(cached) is type(stored) is np.ndarray
+        assert cached.tolist() == stored.tolist() == [0, 1]
 
     def test_start_twice_rejected(self):
         async def scenario():

@@ -73,9 +73,18 @@ def _value(index):
 def _same(got, want):
     # Values are passed to both planes as the same objects; numpy key
     # or value batches may come back as builtins on one side and numpy
-    # scalars on the other, which compare equal.
+    # scalars on the other, which compare equal.  An array value must
+    # come back as the object put, except a row of a 2-d value batch:
+    # each side cuts its own view of that row, so the two must be views
+    # of the same buffer at the same place (never a copy).
     if got is want:
         return True
+    if isinstance(got, np.ndarray) and isinstance(want, np.ndarray):
+        return (
+            got.base is not None
+            and got.base is want.base
+            and got.__array_interface__ == want.__array_interface__
+        )
     if isinstance(got, (np.ndarray, tuple, list)) or got is None:
         return False
     return got == want
@@ -94,9 +103,12 @@ def assert_same_state(bulk, scalar):
 
 
 def _builtins(batch):
-    # The scalar API takes builtin keys; a numpy batch's elements are
-    # numpy scalars until ``tolist``.
-    return batch.tolist() if isinstance(batch, np.ndarray) else batch
+    # The scalar API takes builtin keys; a 1-d numpy batch's elements
+    # are numpy scalars until ``tolist``.  A 2-d value batch replays
+    # row by row, as iterating it yields each row as an array.
+    if isinstance(batch, np.ndarray) and batch.ndim == 1:
+        return batch.tolist()
+    return batch
 
 
 def scalar_put(plane, keys, values):
@@ -207,6 +219,24 @@ def test_bulk_ops_match_scalar_loops(algorithm, sharded, avoid):
     check_get(bulk, scalar, numbers)
     check_delete(bulk, scalar, numbers[::2])
     check_get(bulk, scalar, list(range(-3, 40)))
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["router", "cluster"])
+def test_rows_of_a_2d_value_batch_are_stored_as_arrays(sharded):
+    bulk, scalar = _plane("consistent", sharded), _plane("consistent", sharded)
+    keys = np.arange(4, dtype=np.int64)
+    rows = np.arange(8, dtype=np.int64).reshape(4, 2)
+    check_put(bulk, scalar, keys, rows)
+    # Four 8-byte keys and four 16-byte rows.
+    assert bulk.total_bytes == 96
+    values, __ = bulk.get_many(keys)
+    assert [type(value) for value in values] == [np.ndarray] * 4
+    assert np.array_equal(np.stack(values), rows)
+    check_batch(bulk, scalar, keys, [], keys[::-1], rows[:, ::-1])
+    # 64+ keys per store: applied owner run by owner run.
+    many = np.arange(1_000, 1_600)
+    check_put(bulk, scalar, many, np.arange(1_200.0).reshape(600, 2))
+    check_get(bulk, scalar, many)
 
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["router", "cluster"])
