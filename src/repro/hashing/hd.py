@@ -61,7 +61,6 @@ from ..hdc.packing import (
     circle_steps,
     hamming_words,
     nearest_rows_circle,
-    unpack_bits,
 )
 from ..memory import MemoryRegion
 from .base import DynamicHashTable
@@ -134,14 +133,8 @@ class HDHashTable(DynamicHashTable):
         else:
             rng = np.random.default_rng(self.family.derive("codebook").seed)
             self._codebook = circular_basis(codebook_size, dim, rng)
-        # The table owns a writable packed copy: it is the memory the
-        # lookups actually read, hence the corruptible region when
-        # ``expose_codebook`` is set.  The uint64 word alias of the same
-        # storage is what the routing kernels consume; it is refreshed
-        # only here and on restore, never per query.
-        self._codebook_packed = self._codebook.packed().copy()
-        self._codebook_words = as_words(self._codebook_packed)
         self._expose_codebook = expose_codebook
+        self._install_codebook(self._codebook.packed())
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
         self._batch_size = batch_size
@@ -149,6 +142,21 @@ class HDHashTable(DynamicHashTable):
         self._position_of: Dict[Key, int] = {}
         self._occupied: Dict[int, Key] = {}
         self._reset_memo()
+
+    def _install_codebook(self, packed: np.ndarray) -> None:
+        """Route from ``packed`` codebook rows.
+
+        Lookups read these rows.  An exposed codebook is a corruptible
+        region, so the table takes its own writable copy; otherwise it
+        reads the rows as given (the basis's own read-only array, never
+        written, so tables can share one).  The uint64 word alias of
+        the same storage is what the routing kernels consume; it is
+        refreshed only here and on restore, never per query.
+        """
+        if self._expose_codebook:
+            packed = packed.copy()
+        self._codebook_packed = packed
+        self._codebook_words = as_words(packed)
 
     # -- introspection ----------------------------------------------------
 
@@ -518,10 +526,10 @@ class HDHashTable(DynamicHashTable):
         config = dict(state.get("config", {}))
         codebook = state["payload"]["codebook"]
         if codebook["mode"] == "explicit":
-            packed = np.asarray(codebook["packed"], dtype=np.uint8)
-            config["codebook"] = BasisSet(
+            config["codebook"] = BasisSet.from_packed(
                 codebook["kind"],
-                unpack_bits(packed, config.get("dim", DEFAULT_DIM)),
+                codebook["packed"],
+                config.get("dim", DEFAULT_DIM),
             )
             config["require_circular"] = False
         return make_table(state["algorithm"], **config)
@@ -532,11 +540,10 @@ class HDHashTable(DynamicHashTable):
             # Fallback for restores that did not come through
             # _build_for_restore (the constructor-supplied codebook path
             # above already installed it).
-            packed = np.asarray(codebook["packed"], dtype=np.uint8)
-            vectors = unpack_bits(packed, self.dim)
-            self._codebook = BasisSet(codebook["kind"], vectors)
-            self._codebook_packed = self._codebook.packed().copy()
-            self._codebook_words = as_words(self._codebook_packed)
+            self._codebook = BasisSet.from_packed(
+                codebook["kind"], codebook["packed"], self.dim
+            )
+            self._install_codebook(self._codebook.packed())
         if codebook["mode"] == "explicit":
             self._codebook_derived = False
         # (derived mode: the constructor already rebuilt the identical

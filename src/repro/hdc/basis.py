@@ -27,19 +27,28 @@ returns c_1 (the XOR-closure property; see
 
 The footnote to Algorithm 1 defines odd cardinalities: generate ``2n``
 circular-hypervectors and keep every other one.
+
+Storage: a :class:`BasisSet` keeps only packed rows (the
+:func:`~repro.hdc.packing.pack_bits` layout, pad bits zero), the form
+routing, the item memory and the fault injector read; ``vectors`` is
+unpacked from them on demand.  The level and circular builders never
+hold the byte-per-bit form: they set each transformation's flipped
+positions in a packed row and run the walks as prefix XORs over those
+rows, drawing from the generator exactly as the per-step construction
+does, so the rows and the generator's final state are bit-identical to
+it (``tests/hdc/test_packed_basis.py`` keeps that construction as the
+reference).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .operations import flipped, random_hypervector, random_hypervectors
-from .packing import pack_bits
-from .similarity import similarity_matrix
+from .operations import random_hypervector, random_hypervectors
+from .packing import pack_bits, row_bytes, unpack_bits
+from .similarity import packed_similarities
 
 __all__ = [
     "BasisSet",
@@ -52,60 +61,115 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BasisSet:
-    """An ordered, immutable set of basis hypervectors.
+    """An ordered, immutable set of basis hypervectors, stored packed.
+
+    Construct one from unpacked {0,1} vectors, ``BasisSet(kind,
+    vectors)``, or from packed rows with :meth:`from_packed`.
 
     Attributes
     ----------
     kind:
         ``"random"``, ``"level"`` or ``"circular"``.
     vectors:
-        Unpacked {0,1} array of shape ``(count, dim)``.
+        Unpacked {0,1} array of shape ``(count, dim)``, unpacked from the
+        packed rows on each access; read-only.
     """
 
-    kind: str
-    vectors: np.ndarray
-    _packed_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("_kind", "_packed", "_dim")
 
-    def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.uint8)
-        if vectors.ndim != 2:
+    def __init__(self, kind: str, vectors: np.ndarray):
+        bits = np.asarray(vectors)
+        if bits.ndim != 2:
             raise ValueError("basis vectors must form a 2-D array")
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+        if not np.isin(bits, (0, 1)).all():
+            raise ValueError("basis vector entries must be 0 or 1")
+        self._hold(kind, pack_bits(bits), bits.shape[1])
+
+    @classmethod
+    def from_packed(cls, kind: str, packed: np.ndarray, dim: int) -> "BasisSet":
+        """A basis over a copy of ``packed`` rows of ``dim``-bit vectors.
+
+        ``packed`` has shape ``(count, row_bytes(dim))`` in the
+        :func:`~repro.hdc.packing.pack_bits` layout; pad bits past
+        ``dim`` are cleared, as unpacking and packing again would.
+        """
+        rows = np.array(packed, dtype=np.uint8, copy=True)
+        if rows.ndim != 2 or rows.shape[1] != row_bytes(dim):
+            raise ValueError(
+                "packed basis rows must have shape (count, {})".format(row_bytes(dim))
+            )
+        whole, partial = divmod(dim, 8)
+        if partial:
+            rows[:, whole] &= (1 << partial) - 1
+            whole += 1
+        rows[:, whole:] = 0
+        return cls._of_rows(kind, rows, dim)
+
+    @classmethod
+    def _of_rows(cls, kind: str, rows: np.ndarray, dim: int) -> "BasisSet":
+        """Take ownership of packed ``rows`` whose pad bits are zero."""
+        basis = cls.__new__(cls)
+        basis._hold(kind, rows, dim)
+        return basis
+
+    def _hold(self, kind: str, rows: np.ndarray, dim: int) -> None:
+        rows.setflags(write=False)
+        self._kind = kind
+        self._packed = rows
+        self._dim = dim
+
+    def __repr__(self) -> str:
+        return "BasisSet(kind={!r}, count={}, dim={})".format(
+            self._kind, self.count, self._dim
+        )
 
     def __len__(self) -> int:
-        return self.vectors.shape[0]
+        return self._packed.shape[0]
+
+    @property
+    def kind(self) -> str:
+        """``"random"``, ``"level"`` or ``"circular"``."""
+        return self._kind
 
     @property
     def count(self) -> int:
         """Number of hypervectors in the set."""
-        return self.vectors.shape[0]
+        return self._packed.shape[0]
 
     @property
     def dim(self) -> int:
         """Dimensionality of each hypervector."""
-        return self.vectors.shape[1]
+        return self._dim
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Unpacked {0,1} array of shape ``(count, dim)``; read-only."""
+        return _read_only(unpack_bits(self._packed, self._dim))
 
     def __getitem__(self, index: int) -> np.ndarray:
-        return self.vectors[index]
+        """Unpacked row ``index`` (read-only)."""
+        return _read_only(unpack_bits(self._packed[index], self._dim))
 
     def packed(self) -> np.ndarray:
-        """Packed storage form (count, row_bytes); cached and read-only."""
-        if "packed" not in self._packed_cache:
-            packed = pack_bits(self.vectors)
-            packed.setflags(write=False)
-            self._packed_cache["packed"] = packed
-        return self._packed_cache["packed"]
+        """Packed storage form (count, row_bytes); the basis's own rows,
+        read-only."""
+        return self._packed
 
     def similarity_profile(self, reference: int = 0) -> np.ndarray:
         """Cosine similarity of every vector to the ``reference`` vector."""
-        return similarity_matrix(self.vectors)[reference]
+        return packed_similarities(
+            self._packed[reference], self._packed, self._dim
+        )[0]
 
     def similarity_matrix(self, metric: str = "cosine") -> np.ndarray:
         """Full pairwise similarity matrix (Figure 2)."""
-        return similarity_matrix(self.vectors, metric=metric)
+        return packed_similarities(self._packed, self._packed, self._dim, metric)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def transformation_flip_counts(steps: int, dim: int, total: Optional[int] = None):
@@ -132,9 +196,85 @@ def transformation_flip_counts(steps: int, dim: int, total: Optional[int] = None
     return counts
 
 
+def _set_transformations(
+    rows: np.ndarray, dim: int, flips: List[int], rng: np.random.Generator
+) -> None:
+    """Set transformation ``i``'s flipped bits in packed row ``rows[i]``.
+
+    Draws each step's positions as :func:`~repro.hdc.operations.flipped`
+    does (Algorithm 1, lines 4-5): one ``rng.choice`` without
+    replacement per nonzero step, in step order.  Bit ``p`` is bit
+    ``p & 7`` of byte ``p >> 3``, the layout of
+    :func:`~repro.hdc.packing.pack_bits`.
+    """
+    if min(flips) < 0:
+        raise ValueError("flip count must be non-negative")
+    if max(flips) > dim:
+        raise ValueError("cannot set more bits than the dimension")
+    drawn = [rng.choice(dim, size=count, replace=False) for count in flips if count]
+    if not drawn:
+        return
+    positions = np.concatenate(drawn)
+    steps = np.repeat(np.arange(len(flips)), flips)
+    bits = np.left_shift(1, positions & 7).astype(np.uint8)
+    # Distinct positions of one step can share a byte, so OR unbuffered.
+    np.bitwise_or.at(rows, (steps, positions >> 3), bits)
+
+
+def _level_rows(
+    count: int, dim: int, rng: np.random.Generator, total_flips: Optional[int]
+) -> np.ndarray:
+    """Packed level-hypervectors: ``c_i = c_{i-1} ^ t_i``, a prefix XOR."""
+    if count <= 0:
+        raise ValueError("count must be positive")
+    rows = np.zeros((count, row_bytes(dim)), dtype=np.uint8)
+    rows[0] = pack_bits(random_hypervector(dim, rng))
+    if count > 1:
+        flips = transformation_flip_counts(count - 1, dim, total=total_flips)
+        _set_transformations(rows[1:], dim, flips, rng)
+        np.bitwise_xor.accumulate(rows, axis=0, out=rows)
+    return rows
+
+
+def _circular_rows(
+    count: int, dim: int, rng: np.random.Generator, total_flips: Optional[int]
+) -> np.ndarray:
+    """Packed circular-hypervectors per Algorithm 1 (corrected).
+
+    The forward phase is the prefix XOR ``c_i = c_0 ^ t_1 ^ .. ^ t_i``
+    for ``i <= n/2``.  The backward phase re-applies ``t_1 .. t_j`` in
+    FIFO order from ``c_{n/2}``, so ``c_{n/2+j} = c_{n/2} ^ c_0 ^ c_j``:
+    one XOR of the forward rows with ``c_{n/2} ^ c_0``.
+    """
+    if count <= 0:
+        raise ValueError("count must be positive")
+    if count == 1:
+        return pack_bits(random_hypervectors(1, dim, rng))
+    if count % 2:
+        doubled = _circular_rows(2 * count, dim, rng, total_flips)
+        return np.ascontiguousarray(doubled[::2])
+    half = count // 2
+    if count == 2:
+        # Degenerate circle: two dissimilar vectors.
+        flips = [total_flips if total_flips is not None else dim // 2]
+    else:
+        flips = transformation_flip_counts(half, dim, total=total_flips)
+    rows = np.zeros((count, row_bytes(dim)), dtype=np.uint8)
+    rows[0] = pack_bits(random_hypervector(dim, rng))
+    forward = rows[: half + 1]
+    _set_transformations(forward[1:], dim, flips, rng)
+    np.bitwise_xor.accumulate(forward, axis=0, out=forward)
+    # One transformation, t_{n/2}, stays queued; applying it would close
+    # the circle onto c_0 (checked by property tests, not stored).
+    np.bitwise_xor(rows[1:half], rows[half] ^ rows[0], out=rows[half + 1 :])
+    return rows
+
+
 def random_basis(count: int, dim: int, rng: np.random.Generator) -> BasisSet:
     """Independent uniform random-hypervectors (categorical data)."""
-    return BasisSet("random", random_hypervectors(count, dim, rng))
+    return BasisSet._of_rows(
+        "random", pack_bits(random_hypervectors(count, dim, rng)), dim
+    )
 
 
 def level_hypervectors(
@@ -149,19 +289,9 @@ def level_hypervectors(
     per step (``total_flips`` overrides the total), so similarity decays
     linearly with index distance and the last vector is fully dissimilar
     to the first -- with the deliberate discontinuity the circular
-    construction removes.
+    construction removes.  Unpacked from :func:`level_basis`'s rows.
     """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    vectors = np.empty((count, dim), dtype=np.uint8)
-    vectors[0] = random_hypervector(dim, rng)
-    if count == 1:
-        return vectors
-    flips = transformation_flip_counts(count - 1, dim, total=total_flips)
-    for index in range(1, count):
-        t = flipped(dim, flips[index - 1], rng)
-        vectors[index] = np.bitwise_xor(vectors[index - 1], t)
-    return vectors
+    return unpack_bits(_level_rows(count, dim, rng, total_flips), dim)
 
 
 def level_basis(
@@ -171,7 +301,7 @@ def level_basis(
     total_flips: Optional[int] = None,
 ) -> BasisSet:
     """Level-hypervector :class:`BasisSet`."""
-    return BasisSet("level", level_hypervectors(count, dim, rng, total_flips))
+    return BasisSet._of_rows("level", _level_rows(count, dim, rng, total_flips), dim)
 
 
 def circular_hypervectors(
@@ -189,43 +319,9 @@ def circular_hypervectors(
     ``total_flips`` is the total number of bit flips distributed over the
     forward half-circle (default ``dim``, i.e. ``d/m`` per step with
     ``m = n/2``), so antipodal vectors are maximally dissimilar.
+    Unpacked from :func:`circular_basis`'s rows.
     """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    if count == 1:
-        return random_hypervectors(1, dim, rng)
-    if count == 2:
-        # Degenerate circle: two dissimilar vectors.
-        first = random_hypervector(dim, rng)
-        t = flipped(dim, total_flips if total_flips is not None else dim // 2, rng)
-        return np.stack([first, np.bitwise_xor(first, t)])
-    if count % 2:
-        doubled = circular_hypervectors(2 * count, dim, rng, total_flips)
-        return np.ascontiguousarray(doubled[::2])
-
-    half = count // 2
-    vectors = np.empty((count, dim), dtype=np.uint8)
-    vectors[0] = random_hypervector(dim, rng)
-
-    queue = deque()
-    flips = transformation_flip_counts(half, dim, total=total_flips)
-
-    # Forward transformations T: c_1 .. c_half (0-based indices).
-    for index in range(1, half + 1):
-        t = flipped(dim, flips[index - 1], rng)
-        vectors[index] = np.bitwise_xor(vectors[index - 1], t)
-        queue.append(t)
-
-    # Backward transformations T^-1: re-apply the queued transformations
-    # in FIFO order; XOR self-inverse walks the second half of the circle
-    # back towards c_0.
-    for index in range(half + 1, count):
-        t = queue.popleft()
-        vectors[index] = np.bitwise_xor(vectors[index - 1], t)
-
-    # Exactly one transformation remains queued; applying it would close
-    # the circle onto c_0 (checked by property tests, not stored).
-    return vectors
+    return unpack_bits(_circular_rows(count, dim, rng, total_flips), dim)
 
 
 def circular_basis(
@@ -235,4 +331,6 @@ def circular_basis(
     total_flips: Optional[int] = None,
 ) -> BasisSet:
     """Circular-hypervector :class:`BasisSet` (the paper's contribution)."""
-    return BasisSet("circular", circular_hypervectors(count, dim, rng, total_flips))
+    return BasisSet._of_rows(
+        "circular", _circular_rows(count, dim, rng, total_flips), dim
+    )

@@ -112,8 +112,7 @@ def unpack_bits(packed: np.ndarray, dim: int) -> np.ndarray:
     packed = np.asarray(packed, dtype=np.uint8)
     if packed.ndim == 1:
         return unpack_bits(packed[None, :], dim)[0]
-    bits = np.unpackbits(packed, axis=1, bitorder="little")
-    return bits[:, :dim].astype(np.uint8)
+    return np.unpackbits(packed, axis=1, count=dim, bitorder="little")
 
 
 def popcount_u64(words: np.ndarray) -> np.ndarray:

@@ -60,8 +60,8 @@ class PeriodicEncoder:
         self._period = float(period)
         self._basis = circular_basis(resolution, dim, rng)
         self._memory = ItemMemory(dim)
-        for node in range(resolution):
-            self._memory.add(node, self._basis[node])
+        for node, row in enumerate(self._basis.packed()):
+            self._memory.add_packed(node, row)
 
     @property
     def period(self) -> float:

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .packing import hamming_packed_matrix, pack_bits
+
 __all__ = [
     "hamming_distance",
     "inverse_hamming",
     "hamming_similarity",
     "cosine_similarity",
     "similarity_matrix",
+    "packed_similarities",
 ]
 
 
@@ -61,13 +64,27 @@ def similarity_matrix(vectors: np.ndarray, metric: str = "cosine") -> np.ndarray
 
     ``vectors`` has shape (count, dim).  ``metric`` is ``"cosine"``,
     ``"hamming"`` (normalised similarity) or ``"distance"`` (raw Hamming
-    distance).  This is the computation behind Figure 2.
+    distance).  This is the computation behind Figure 2.  The vectors
+    are packed first (see :func:`packed_similarities`).
     """
     stack = np.atleast_2d(np.asarray(vectors, dtype=np.uint8))
-    distances = np.bitwise_xor(stack[:, None, :], stack[None, :, :]).sum(
-        axis=-1, dtype=np.int64
-    )
-    dim = stack.shape[1]
+    packed = pack_bits(stack)
+    return packed_similarities(packed, packed, stack.shape[1], metric)
+
+
+def packed_similarities(
+    queries: np.ndarray, rows: np.ndarray, dim: int, metric: str = "cosine"
+) -> np.ndarray:
+    """Similarity of each packed query row to each packed row.
+
+    Rows are in the :func:`~repro.hdc.packing.pack_bits` layout of
+    ``dim``-bit hypervectors; returns ``(len(queries), len(rows))``.
+    The Hamming distances are counted over packed words, one block of
+    query rows at a time within a 32 MB budget
+    (:func:`~repro.hdc.packing.hamming_packed_matrix`), and feed the
+    same formulas as the unpacked metrics above.
+    """
+    distances = hamming_packed_matrix(queries, rows)
     if metric == "cosine":
         return 1.0 - 2.0 * distances / dim
     if metric == "hamming":

@@ -193,3 +193,12 @@ class TestBasisSet:
 
         with pytest.raises(ValueError):
             BasisSet("random", np.zeros(8, dtype=np.uint8))
+
+    def test_rejects_values_other_than_zero_and_one(self):
+        from repro.hdc import BasisSet
+
+        for bad in ([[2, 0, 1, 0, 0, 0, 0, 0]], [[0, -1]], [[0.5, 1.0]]):
+            with pytest.raises(ValueError):
+                BasisSet("random", bad)
+        assert BasisSet("random", [[True, False, True]]).packed()[0, 0] == 0b101
+        assert BasisSet("random", np.zeros((0, 8), np.uint8)).count == 0

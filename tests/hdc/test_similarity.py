@@ -86,3 +86,59 @@ class TestSimilarityMatrix:
     def test_unknown_metric(self, rng):
         with pytest.raises(ValueError):
             similarity_matrix(random_hypervectors(2, 8, rng), metric="l2")
+
+
+def unpacked_similarity_matrix(vectors, metric):
+    """The byte-per-bit formula: a (count, count, dim) XOR, summed."""
+    distances = np.bitwise_xor(vectors[:, None, :], vectors[None, :, :]).sum(
+        axis=-1, dtype=np.int64
+    )
+    dim = vectors.shape[1]
+    return {
+        "cosine": 1.0 - 2.0 * distances / dim,
+        "hamming": 1.0 - distances / dim,
+        "distance": distances,
+    }[metric]
+
+
+class TestPackedSimilarities:
+    """Distances counted over packed words feed the same formulas, so every
+    output equals the unpacked formula's bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "level", "circular"])
+    @pytest.mark.parametrize("dim", [1, 63, 65, 1_000])
+    def test_same_as_the_unpacked_formula(self, kind, dim):
+        from repro.hdc import circular_basis, level_basis, random_basis
+
+        build = {
+            "random": random_basis,
+            "level": level_basis,
+            "circular": circular_basis,
+        }
+        for count in (1, 2, 7, 24):
+            basis = build[kind](count, dim, np.random.default_rng(count))
+            vectors = basis.vectors
+            for metric in ("cosine", "hamming", "distance"):
+                want = unpacked_similarity_matrix(vectors, metric)
+                assert np.array_equal(basis.similarity_matrix(metric), want)
+                assert np.array_equal(similarity_matrix(vectors, metric), want)
+            for reference in (0, count - 1):
+                assert np.array_equal(
+                    basis.similarity_profile(reference),
+                    unpacked_similarity_matrix(vectors, "cosine")[reference],
+                )
+
+    def test_paper_config_profile_is_one_row(self):
+        import tracemalloc
+
+        from repro.hdc import circular_basis
+
+        basis = circular_basis(4_096, 10_000, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            profile = basis.similarity_profile()
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profile.shape == (4_096,) and profile[0] == 1.0
+        assert peak <= 64 * 2**20
