@@ -456,9 +456,9 @@ class ControlLoop:
                     if hit
                 ]
                 if drop_source:
-                    cleaned += source.discard_many(drop_source)
+                    cleaned += int(source.delete_many(drop_source).sum())
                 if drop_destination:
-                    cleaned += destination.discard_many(drop_destination)
+                    cleaned += int(destination.delete_many(drop_destination).sum())
         return cleaned
 
     # -- the reconciliation tick -------------------------------------------

@@ -20,13 +20,12 @@ Routing is split into key hashing (``HashFamily.word``) and word routing
 (``route_word``) so that a pristine replica and a corrupted table can be
 replayed on bit-identical word streams.
 
-The replica protocol has a generic *exclusion-rerank* fallback here in
-the base class: re-route salted rehashes of the key's word, excluding
-already-chosen servers, with a deterministic lowest-slot fill as the
-termination guarantee.  Algorithms whose math ranks the whole pool for
-free override it with native fast paths (HD: the k nearest codebook
-rows; rendezvous: top-k of the score matrix; consistent hashing: k
-distinct ring successors).
+Each algorithm implements replicas once, as its batch kernel
+``_route_replicas_batch``; the scalar form reads one row of it.
+Ranking algorithms take the top ``k`` (HD: the k nearest item-memory
+rows; rendezvous: top-k scores), walk-based ones use
+:meth:`_walk_distinct_batch` (ring successors, table scans), and jump
+and hierarchical re-route salted rehashes (:meth:`_rehash_replicas_batch`).
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ __all__ = ["DynamicHashTable", "STATE_FORMAT_VERSION"]
 #: Version stamp written into every :meth:`DynamicHashTable.state_dict`.
 STATE_FORMAT_VERSION = 1
 
-#: Salted-rehash attempts per requested replica before the generic
-#: exclusion fallback gives up and fills deterministically.  Each
+#: Salted-rehash attempts per requested replica before
+#: ``_rehash_replicas_batch`` gives up and fills deterministically.  Each
 #: attempt is ~uniform over the pool, so 16 attempts per replica puts
 #: the fill path far out in the tail (it exists only to guarantee
 #: termination, e.g. on corrupted indirection tables).
@@ -74,9 +73,6 @@ class DynamicHashTable(ABC):
     def __init__(self, family: Optional[HashFamily] = None, seed: int = 0):
         self._family = family if family is not None else HashFamily(seed)
         self._server_ids: List[Key] = []
-        # Derived lazily; the sub-family salting the generic replica
-        # fallback's rehash sequence (independent of key hashing).
-        self._replica_family_cache: Optional[HashFamily] = None
 
     # -- registry ---------------------------------------------------------
 
@@ -368,38 +364,11 @@ class DynamicHashTable(ABC):
                 "of {} servers".format(k, self.server_count)
             )
 
-    @property
-    def _replica_family(self) -> HashFamily:
-        if self._replica_family_cache is None:
-            self._replica_family_cache = self._family.derive(
-                "replica-exclusion"
-            )
-        return self._replica_family_cache
-
-    def _collect_distinct(self, slots, k: int) -> np.ndarray:
-        """Collect ``k`` pairwise-distinct slots from a slot sequence.
-
-        The shared core of every walk-based replica path (ring
-        successors, Maglev table scan, modular bucket probe): consume
-        ``slots`` in order, skip servers already chosen, stop at ``k``,
-        and fall back to :meth:`_complete_replicas` if the sequence
-        ends short.
-        """
-        chosen: List[int] = []
-        seen = set()
-        for slot in slots:
-            if slot not in seen:
-                seen.add(slot)
-                chosen.append(slot)
-                if len(chosen) == k:
-                    break
-        return self._complete_replicas(chosen, k)
-
     def _complete_replicas(self, chosen: List[int], k: int) -> np.ndarray:
         """Deterministic fill to ``k`` distinct slots (lowest-slot first).
 
-        The termination guarantee behind every replica path: native
-        walks and the rehash fallback may fail to surface some slot
+        The termination guarantee behind every replica kernel: walks
+        and salted rehashes may fail to surface some slot
         (e.g. a corrupted indirection table that no longer covers the
         pool); missing slots are appended in slot order so the result
         is always ``k`` pairwise-distinct slots.
@@ -416,7 +385,7 @@ class DynamicHashTable(ABC):
     def _walk_distinct_batch(
         self, starts: np.ndarray, seq: np.ndarray, k: int
     ) -> np.ndarray:
-        """Vectorized :meth:`_collect_distinct` over a whole word batch.
+        """The first ``k`` distinct slots along a walk, for every word.
 
         ``starts`` holds one entry index per word and ``seq`` the slot
         sequence being walked (``seq[(start + step) % len(seq)]`` --
@@ -426,10 +395,9 @@ class DynamicHashTable(ABC):
         candidate is a not-yet-chosen slot accept it, and rows that have
         collected ``k`` distinct slots drop out of the active set.  Rows
         whose walk ends short (``seq`` does not cover the pool, e.g.
-        after corruption) are finished by :meth:`_complete_replicas`,
-        exactly as the scalar walk would be.  Bit-exact with running
-        :meth:`_collect_distinct` per row, since acceptance order is the
-        walk order either way.
+        after corruption) are finished by :meth:`_complete_replicas`.
+        Each row reads only its own start, so it does not depend on the
+        rest of the batch.
 
         ``seq`` values must already be valid slots in
         ``[0, server_count)``.
@@ -461,46 +429,29 @@ class DynamicHashTable(ABC):
             out[row] = self._complete_replicas(out[row, : filled[row]].tolist(), k)
         return out
 
-    def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
-        """Generic exclusion-rerank fallback on a validated ``k``.
-
-        ``replicas[0]`` is the plain :meth:`route_word` winner; further
-        replicas re-route salted rehashes of ``word``, excluding servers
-        already chosen, until ``k`` distinct slots are collected.  The
-        sequence is a pure function of (word, table state), so batch and
-        scalar paths and bit-identical table replicas all agree.
-        """
-        chosen = [self.route_word(word)]
-        if k > 1:
-            seen = set(chosen)
-            rehash = self._replica_family.pair
-            for salt in range(_REHASH_ATTEMPTS_PER_REPLICA * k):
-                if len(chosen) == k:
-                    break
-                candidate = self.route_word(rehash(word, salt))
-                if candidate not in seen:
-                    seen.add(candidate)
-                    chosen.append(candidate)
-        return self._complete_replicas(chosen, k)
-
     def route_word_replicas(self, word: int, k: int) -> np.ndarray:
         """Route one pre-hashed word to ``k`` distinct server slots.
 
-        This is the canonical statement of the replica contract; every
-        scalar/batch/key-level replica entry point resolves to it:
+        This is the canonical statement of the replica contract, and
+        row 0 of :meth:`route_replicas_batch` on a one-word batch; every
+        replica entry point resolves to that one kernel:
 
         * **k distinct**: the result is an ``int64`` array of length
           ``k`` whose entries are pairwise-distinct slots, ordered by
           the algorithm's preference.  ``k`` outside
           ``[1, server_count]`` raises
           :class:`~repro.errors.ReplicaCountError`.
-        * **head equals lookup**: ``replicas[0] == route_word(word)``
-          for every algorithm and every table state, so replica routing
-          never disagrees with single-server routing about the primary.
-        * **pure function of (word, state)**: batch
-          (:meth:`route_replicas_batch`) and scalar rows are bit-exact,
-          and bit-identical table replicas agree, even on corrupted
-          state.
+        * **head equals the route**: ``replicas[0]`` is the word's
+          :meth:`route_batch` slot for every algorithm and table state.
+          On an intact table that is also :meth:`route_word`; on a
+          corrupted consistent ring the ``count`` backend and
+          multi-probe's doubling search read the unsorted ring
+          differently from the scalar binary search (ablation E10).
+        * **pure function of (word, state)**: a row depends only on its
+          word and the table -- not on the other words of a batch nor
+          their order -- so batch (:meth:`route_replicas_batch`) and
+          scalar rows are bit-exact and bit-identical table replicas
+          agree, even on corrupted state.
 
         These properties are what the service layer's avoid-set
         failover builds on: both routers' one shared :meth:`route
@@ -513,7 +464,7 @@ class DynamicHashTable(ABC):
         """
         self._require_servers()
         self._check_replica_count(k)
-        return self._route_word_replicas(int(word), k)
+        return self._route_replicas_batch(np.asarray([word], dtype=np.uint64), k)[0]
 
     def route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
         """Route pre-hashed words to ``k`` distinct slots each (batch).
@@ -529,34 +480,18 @@ class DynamicHashTable(ABC):
             return np.empty((0, k), dtype=np.int64)
         return self._route_replicas_batch(words, k)
 
+    @abstractmethod
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Algorithm-specific replica batch on validated inputs.
-
-        The default deduplicates the batch onto its unique words
-        (replica sets are a pure function of the word) and runs the
-        scalar path once per unique word -- always bit-exact with
-        :meth:`route_word_replicas`, whatever the subclass overrode.
-        Algorithms with vectorizable replica math override this: native
-        ranked kernels (HD, rendezvous) or, for algorithms whose scalar
-        path *is* the generic rehash fallback (jump, hierarchical), the
-        vectorized :meth:`_rehash_replicas_batch`.
-        """
-        unique, inverse = np.unique(words, return_inverse=True)
-        out = np.empty((unique.size, k), dtype=np.int64)
-        for row in range(unique.size):
-            out[row] = self._route_word_replicas(int(unique[row]), k)
-        return out[inverse]
+        """The algorithm's replica kernel: :meth:`route_replicas_batch`
+        on a non-empty ``uint64`` batch, non-empty pool and valid ``k``."""
 
     def _rehash_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        """The *vectorized* form of the generic exclusion-rerank fallback.
+        """Replicas by salted rehash, for algorithms with no native ranking.
 
-        Deduplicates onto unique words, then each rehash round routes
-        every still-unfilled row through the algorithm's own batched
-        kernel at once.  Per-row salts, acceptance order and the
-        deterministic fill are identical to the scalar fallback, so an
-        algorithm that keeps the default :meth:`_route_word_replicas`
-        can adopt this as its ``_route_replicas_batch`` and stay
-        bit-exact between scalar and batch.
+        ``replicas[0]`` is the :meth:`_route_batch` winner; round
+        ``salt`` re-routes that rehash of every still-unfilled unique
+        word through the batched kernel and accepts new slots, and
+        :meth:`_complete_replicas` fills what the rounds leave short.
         """
         unique, inverse = np.unique(words, return_inverse=True)
         n = unique.size
@@ -566,7 +501,7 @@ class DynamicHashTable(ABC):
             chosen = np.zeros((n, self.server_count), dtype=bool)
             chosen[np.arange(n), out[:, 0]] = True
             filled = np.ones(n, dtype=np.int64)
-            pair_vec = self._replica_family.pair_vec
+            pair_vec = self._family.derive("replica-exclusion").pair_vec
             active = np.arange(n)
             for salt in range(_REHASH_ATTEMPTS_PER_REPLICA * k):
                 if active.size == 0:
@@ -590,8 +525,9 @@ class DynamicHashTable(ABC):
     def lookup_replicas(self, key: Key, k: int) -> Tuple[Key, ...]:
         """Map one request key to ``k`` distinct server identifiers.
 
-        ``lookup_replicas(key, 1)[0] == lookup(key)`` always holds; a
-        ``k`` above the pool size raises
+        ``lookup_replicas(key, 1)[0]`` is the key's
+        :meth:`lookup_batch` server, and :meth:`lookup`'s on an intact
+        table; a ``k`` above the pool size raises
         :class:`~repro.errors.ReplicaCountError`.
         """
         slots = self.route_word_replicas(self._family.word(key), k)

@@ -98,9 +98,8 @@ class BoundedLoadConsistentHashTable(ConsistentHashTable):
         loads = np.zeros(self.server_count, dtype=np.int64)
         assignment = np.empty(words.size, dtype=np.int64)
         keys = self._keys_of_words(words)
-        start_indices = np.searchsorted(self._ring_positions, keys, side="left")
-        for key_index, start in enumerate(start_indices):
-            ring_index = int(start) % ring_size
+        starts = self._successor_indices(keys).tolist()
+        for key_index, ring_index in enumerate(starts):
             for __ in range(ring_size):
                 slot = int(self._ring_slots[ring_index])
                 if loads[slot] < capacity:

@@ -18,6 +18,8 @@ memory:
   mirroring the paper's emulator).  The counts come from a
   ``searchsorted`` over a sorted copy of the ring, which counts the
   same entries as comparing every key with every position.
+  ``search="bisect"`` instead runs ``route_word``'s binary search for
+  the whole batch at once, so it equals ``route_word`` on any ring.
 
 Memory model and why consistent hashing is fragile (Figure 5): the
 sorted position array is the routing state.  A flipped bit displaces one
@@ -253,44 +255,37 @@ class ConsistentHashTable(DynamicHashTable):
             index = 0
         return index
 
-    def _distinct_successors(self, index: int, k: int) -> np.ndarray:
-        """Walk the ring clockwise from ``index``, collecting ``k``
-        distinct server slots (the classic multi-slot placement of
-        DHash-style replicated rings: a key's replica set is its next
-        ``k`` distinct successors)."""
-        size = self._ring_positions.size
-        return self._collect_distinct(
-            (
-                int(self._ring_slots[(index + step) % size])
-                for step in range(size)
-            ),
-            k,
-        )
-
-    def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
-        """Native replica path: ``k`` distinct ring successors."""
-        return self._distinct_successors(self._successor_index(word), k)
-
     def _successor_indices(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_successor_index` for a key batch."""
-        indices = np.searchsorted(
-            self._ring_positions, keys, side="left"
-        ).astype(np.int64)
-        indices[indices == self._ring_positions.size] = 0
+        """The ring index the batch route reads, each key on its own.
+
+        ``count``: the entries below the key, as :meth:`_route_batch_count`
+        counts them; ``bisect``: :meth:`_successor_index`'s binary search,
+        run for all keys at once with ``lo``/``hi`` arrays.  Never a
+        ``searchsorted`` over the stored ring: numpy narrows each key's
+        search with the previous key's answer, which on a corrupted
+        (unsorted) ring makes a key's answer depend on its batch-mates.
+        """
+        ring = self._ring_positions
+        if self._search == "count":
+            indices = np.searchsorted(np.sort(ring), keys, side="left")
+        else:
+            indices = np.zeros(keys.size, dtype=np.int64)
+            hi = np.full(keys.size, ring.size, dtype=np.int64)
+            for __ in range(ring.size.bit_length()):
+                mid = (indices + hi) >> 1
+                # Closed rows (lo == hi) may sit at ``ring.size``; clip
+                # their gather and leave them where they are.
+                below = ring.take(mid, mode="clip") < keys
+                np.copyto(hi, mid, where=~below)
+                np.copyto(indices, mid + 1, where=below & (indices < hi))
+        indices[indices == ring.size] = 0
         return indices
 
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Batch replica path: one searchsorted for every word's
-        successor entry, then the shared masked-advance array walk over
-        the sorted ring -- the vectorized form of
-        :meth:`_distinct_successors`."""
+        """The next ``k`` distinct ring successors (DHash-style
+        multi-slot placement), walked from the entry the route reads."""
         starts = self._successor_indices(self._keys_of_words(words))
         return self._walk_distinct_batch(starts, self._ring_slots, k)
-
-    def _route_batch_bisect(self, keys: np.ndarray) -> np.ndarray:
-        indices = np.searchsorted(self._ring_positions, keys, side="left")
-        indices[indices == self._ring_positions.size] = 0
-        return self._ring_slots[indices]
 
     def _route_batch_count(self, keys: np.ndarray) -> np.ndarray:
         """``ring_slots[count(ring < key)]``, the count wrapping to 0.
@@ -313,7 +308,7 @@ class ConsistentHashTable(DynamicHashTable):
         keys = self._keys_of_words(words)
         if self._search == "count":
             return self._route_batch_count(keys)
-        return self._route_batch_bisect(keys)
+        return self._ring_slots[self._successor_indices(keys)]
 
     # -- delta-scoped epoch accounting -------------------------------------
 

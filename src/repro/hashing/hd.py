@@ -440,28 +440,13 @@ class HDHashTable(DynamicHashTable):
         self._memo()  # settles the codebook differences the column reads
         return -self._column(row)[self._route_positions(words)]
 
-    def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
-        """Native replica path: the ``k`` nearest item-memory rows.
-
-        HD inference ranks the whole pool for free -- the similarity
-        scores of Eq. 2 are computed against every stored hypervector
-        anyway -- so the replica set is the top-k of the same sweep the
-        single-server lookup argmins over.  Goes through the same
-        packed-word kernel as the batch path, so scalar and batch agree
-        bit-exactly (including tie-breaks toward the earliest-joined
-        server).
-        """
-        position = int(word % self.codebook_size)
-        indices, __ = self._memory.query_top_k_words(
-            self._codebook_words[position][None, :], k
-        )
-        return indices[0]
-
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Batched replica inference, deduplicated onto circle positions.
+        """Replicas are the ``k`` nearest item-memory rows.
 
-        One packed-word top-k kernel sweep over the batch's unique
-        circle positions -- no per-key Python loop, mirroring
+        Eq. 2 ranks the whole pool for free, so the replica set is the
+        top-k of the sweep the lookup argmins over (ties toward the
+        earliest-joined server): one packed-word top-k kernel sweep
+        over the batch's unique circle positions, like
         :meth:`infer_batch`.
         """
         positions = self._route_positions(words)

@@ -232,9 +232,9 @@ class HierarchicalHashTable(DynamicHashTable):
         return out
 
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        # Scalar replica routing is the generic rehash fallback; its
-        # vectorized form sends each rehash round through the two-level
-        # batched path (one outer sweep + per-group inner sweeps).
+        # Replicas are salted rehashes; each rehash round goes through
+        # the two-level batched path (one outer sweep + per-group inner
+        # sweeps).
         return self._rehash_replicas_batch(words, k)
 
     def lookup(self, key: Key) -> Key:

@@ -127,9 +127,8 @@ class JumpHashTable(DynamicHashTable):
         return self._bucket_refs[buckets] % np.int64(count)
 
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        # Scalar replica routing is the generic rehash fallback, so the
-        # batch path can use its vectorized form: every rehash round is
-        # one masked jump_hash_batch sweep instead of per-key walks.
+        # Jump hash ranks no pool, so replicas are salted rehashes:
+        # every rehash round is one masked jump_hash_batch sweep.
         return self._rehash_replicas_batch(words, k)
 
     def _state_payload(self) -> Dict[str, Any]:

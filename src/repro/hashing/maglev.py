@@ -447,28 +447,10 @@ class MaglevHashTable(DynamicHashTable):
         entries = table[(words % np.uint64(self._table_size)).astype(np.int64)]
         return entries % np.int64(self.server_count)
 
-    def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
-        """Native exclusion path: walk the lookup table forward.
-
-        Every server claims many slots of the prime table, so scanning
-        from the key's entry point and skipping already-chosen servers
-        yields ``k`` distinct replicas after a handful of reads --
-        Maglev's own O(1) lookup, repeated with exclusions.
-        """
-        size = self._table_size
-        count = self.server_count
-        table = self._materialized()
-        start = int(word % size)
-        return self._collect_distinct(
-            (int(table[(start + step) % size]) % count for step in range(size)),
-            k,
-        )
-
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Batch replica path: the shared array walk over the lookup
-        table's slot sequence (entries reduced modulo the pool size,
-        the same re-interpretation the scalar walk applies to
-        corrupted entries)."""
+        """Replicas by walking the lookup table forward from the key's
+        entry -- Maglev's O(1) lookup repeated with exclusions; entries
+        reduce modulo the pool size, as lookups read corrupted ones."""
         table = self._materialized()
         starts = (words % np.uint64(self._table_size)).astype(np.int64)
         return self._walk_distinct_batch(

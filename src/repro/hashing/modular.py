@@ -77,28 +77,10 @@ class ModularHashTable(DynamicHashTable):
         buckets = (words % count).astype(np.int64)
         return self._slot_refs[buckets] % np.int64(self.server_count)
 
-    def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
-        """Native exclusion path: successive hash buckets.
-
-        The classic open-addressing rule -- replica ``i`` lives at
-        bucket ``(h(r) + i) mod k`` -- walked through the same
-        slot-indirection (and corruption surface) as single lookups,
-        skipping servers already chosen.
-        """
-        count = self.server_count
-        start = int(word % count)
-        return self._collect_distinct(
-            (
-                int(self._slot_refs[(start + step) % count]) % count
-                for step in range(count)
-            ),
-            k,
-        )
-
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Batch replica path: the shared array walk over successive
-        buckets of the slot-indirection table (the vectorized form of
-        the open-addressing probe above, corruption surface included)."""
+        """Replicas at successive hash buckets: the open-addressing rule
+        (replica ``i`` at bucket ``(h(r) + i) mod k``) walked through
+        the same slot indirection (and corruption surface) as lookups."""
         count = self.server_count
         starts = (words % np.uint64(count)).astype(np.int64)
         return self._walk_distinct_batch(

@@ -96,13 +96,6 @@ class MultiProbeConsistentHashTable(ConsistentHashTable):
         best = int(np.argmin(distances))
         return int(indices[best])
 
-    def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
-        """Native replica path: walk distinct successors from the
-        winning probe's ring entry, so ``replicas[0]`` stays the
-        multi-probe winner while further replicas inherit consistent
-        hashing's successor-set placement."""
-        return self._distinct_successors(self._best_probe_index(word), k)
-
     def _best_probe_indices(self, words: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_best_probe_index`: the ``(probes, n)``
         distance matrix, argmin over the probe axis (first winner on
@@ -154,11 +147,10 @@ class MultiProbeConsistentHashTable(ConsistentHashTable):
         return None
 
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Batch replica path: the vectorized probe matrix picks each
-        word's winning ring entry, then the shared array walk collects
-        the distinct successors (overrides the plain-successor walk
-        inherited from :class:`ConsistentHashTable`, which would start
-        at the wrong entry for multi-probe placement)."""
+        """Replicas walk distinct successors from the winning probe's
+        ring entry (picked by the vectorized probe matrix), so
+        ``replicas[0]`` stays the multi-probe winner while further
+        replicas inherit consistent hashing's successor placement."""
         return self._walk_distinct_batch(
             self._best_probe_indices(words), self._ring_slots, k
         )

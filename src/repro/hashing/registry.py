@@ -80,14 +80,10 @@ class AlgorithmEntry:
         ``batch-native``
             vectorized :meth:`~DynamicHashTable._route_batch` kernel
             (not the scalar-loop default).
-        ``replica-native``
-            algorithm-specific replica path (ranked kernel or
-            vectorized walk) instead of the scalar exclusion-rerank
-            default.
-        ``replica-batch-native``
-            vectorized :meth:`~DynamicHashTable._route_replicas_batch`
-            kernel (array walk, ranked kernel, or the vectorized
-            rehash), not the dedup-then-scalar-loop default.
+        ``replica-native`` / ``replica-batch-native``
+            the class's own vectorized
+            :meth:`~DynamicHashTable._route_replicas_batch` kernel, which
+            scalar replica routes read too (abstract: every table has one).
         ``churn-incremental``
             array-level bulk membership kernels
             (:meth:`~DynamicHashTable._join_many` /
@@ -116,15 +112,8 @@ class AlgorithmEntry:
         if (
             self.cls._route_replicas_batch
             is not DynamicHashTable._route_replicas_batch
-            or self.cls._route_word_replicas
-            is not DynamicHashTable._route_word_replicas
         ):
-            flags.append("replica-native")
-        if (
-            self.cls._route_replicas_batch
-            is not DynamicHashTable._route_replicas_batch
-        ):
-            flags.append("replica-batch-native")
+            flags.extend(("replica-native", "replica-batch-native"))
         if (
             self.cls._join_many is not DynamicHashTable._join_many
             or self.cls._leave_many is not DynamicHashTable._leave_many

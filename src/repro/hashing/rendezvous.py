@@ -178,13 +178,6 @@ class RendezvousHashTable(DynamicHashTable):
             out[start:stop] = block.argmax(axis=0)
         return out
 
-    def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
-        # Single-column dispatch through the batch kernel keeps scalar
-        # and batch replica sets bit-identical, tie-breaks included.
-        return self._route_replicas_batch(
-            np.asarray([word], dtype=np.uint64), k
-        )[0]
-
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
         """Native replica path: top-``k`` of the pairwise weight matrix.
 

@@ -441,13 +441,6 @@ class VirtualWeightTable(DynamicHashTable):
             depths.append(min(2 * depths[-1], inner_count))
         return depths
 
-    def _route_word_replicas(self, word: int, k: int) -> np.ndarray:
-        # Single-row dispatch through the batch kernel keeps scalar and
-        # batch replica sets bit-identical on every inner algorithm.
-        return self._route_replicas_batch(
-            np.asarray([word], dtype=np.uint64), k
-        )[0]
-
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
         inner = self._inner
         if type(inner) is RendezvousHashTable:

@@ -22,12 +22,13 @@ each slot's key, value and *recency stamp* (a monotonic counter ticked
 once per touch).  The LRU entry is simply the live slot with the lowest
 stamp, so recency refreshes are bulk fancy-index writes, batch reads
 are one C-level ``dict.get`` sweep plus one gather, and evictions pick
-victims by ``argmin``/``argpartition`` over the stamp column -- no
+victims by ``argpartition`` over the stamp column -- no
 per-key ``OrderedDict`` relinking anywhere on the serving hot path.
-The bulk entry points (:meth:`HotKeyCache.get_many`,
-:meth:`HotKeyCache.put_many`, :meth:`HotKeyCache.invalidate_many`) are
-bit-equivalent to issuing their scalar counterparts in sequence --
-contents, eviction order *and* hit/miss/eviction counters -- which the
+The scalar entry points are one-key calls of the bulk ones
+(:meth:`HotKeyCache.get_many`, :meth:`HotKeyCache.put_many`,
+:meth:`HotKeyCache.invalidate_many`), and a bulk call is
+bit-equivalent to issuing the scalar calls in sequence -- contents,
+eviction order *and* hit/miss/eviction counters -- which the
 LRU-oracle property suite (``tests/serve/test_cache_oracle.py``) pins
 against an ``OrderedDict`` reference on random op schedules.
 """
@@ -121,14 +122,7 @@ class HotKeyCache:
 
     def get(self, key: Key, default: Any = None) -> Any:
         """Cached value (refreshing recency) or ``default`` on a miss."""
-        slot = self._slots.get(key, -1)
-        if slot < 0:
-            self.misses += 1
-            return default
-        self.hits += 1
-        self._stamps[slot] = self._clock
-        self._clock += 1
-        return self._values[slot]
+        return self.get_many((key,), default)[0][0]
 
     def get_many(
         self, keys: Sequence[Key], default: Any = None
@@ -176,17 +170,7 @@ class HotKeyCache:
 
     def put(self, key: Key, value: Any) -> None:
         """Insert/refresh an entry, evicting the LRU past capacity."""
-        slot = self._slots.get(key, -1)
-        if slot < 0:
-            if self._free:
-                slot = self._free.pop()
-            else:
-                slot = self._evict_lru()
-            self._slots[key] = slot
-            self._keys[slot] = key
-        self._values[slot] = value
-        self._stamps[slot] = self._clock
-        self._clock += 1
+        self.put_many((key,), (value,))
 
     def put_many(self, keys: Sequence[Key], values: Sequence[Any]) -> None:
         """Batched :meth:`put`, bit-equivalent to the sequential loop.
@@ -338,19 +322,6 @@ class HotKeyCache:
         self._clock = clock
         self.evictions += evictions
 
-    def _evict_lru(self) -> int:
-        """Drop the lowest-stamp entry; returns its now-reusable slot.
-
-        Only called with the cache full, so every slot is live and the
-        raw ``argmin`` over the stamp column is the LRU entry.
-        """
-        slot = int(np.argmin(self._stamps))
-        del self._slots[self._keys[slot]]
-        self._keys[slot] = None
-        self._values[slot] = None
-        self.evictions += 1
-        return slot
-
     def _release(self, slot: int) -> None:
         """Return a slot to the free pool (invalidation/flush path)."""
         self._keys[slot] = None
@@ -360,12 +331,7 @@ class HotKeyCache:
 
     def invalidate(self, key: Key) -> bool:
         """Drop one entry; True when it was cached."""
-        slot = self._slots.pop(key, -1)
-        if slot < 0:
-            return False
-        self._release(slot)
-        self.invalidations += 1
-        return True
+        return self.invalidate_many((key,)) == 1
 
     def invalidate_many(self, keys: Iterable[Key]) -> int:
         """Drop exactly ``keys``; returns how many were actually cached.

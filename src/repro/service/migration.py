@@ -559,7 +559,7 @@ class MigrationExecutor:
     3. **commit** -- delete the verified keys at their source (unless
        ``delete_source=False``: the graceful-drain pre-copy keeps the
        source serving until the membership epoch lands; the caller
-       then reconciles the double copies over :meth:`processed_moves`).
+       then reconciles the double copies over :meth:`processed_batches`).
 
     The hot path is array-at-a-time: the plan is flattened once into
     per-batch key offsets, a tick's cursor advances by one
@@ -752,7 +752,8 @@ class MigrationExecutor:
                 if len(members) == 1
                 else [key for index in members for key in seg_keys[index]]
             )
-            values, misses = plane.store(source_id).read_many(gathered)
+            values, found = plane.store(source_id).get_many(gathered, default=missing)
+            misses = not found.all()
             clean_reads[source_id] = None if misses else gathered
             offset = 0
             for index in members:
@@ -826,7 +827,7 @@ class MigrationExecutor:
             self._bytes_copied += store.put_many(
                 copy_keys, copy_values, accounted_nbytes=charged
             )
-            readback, __ = store.read_many(copy_keys)
+            readback, __ = store.get_many(copy_keys, default=missing)
             # List equality short-circuits per element on identity
             # (exactly the scalar ``is``-then-``==`` check), so the
             # all-good case is one C-level pass.
@@ -910,9 +911,14 @@ class MigrationExecutor:
         """Yield ``(batch, keys)`` prefixes the cursor has processed.
 
         ``keys`` is the batch's processed (non-empty) prefix, skipped
-        keys included -- the bulk reconciliation surface behind
-        :meth:`processed_moves`, letting callers work per batch instead
-        of per key (see :meth:`~repro.control.loop.ControlLoop.drain`).
+        keys included: together the prefixes cover exactly the moves
+        :meth:`tick` has taken through the copy/verify/commit phases so
+        far, in plan order.  This is the reconciliation surface for
+        retained-source runs: after the cutover epoch, the caller
+        resolves each processed key *once across every executor that
+        touched the plan* (the drain's catch-up pass re-runs an
+        overlapping plan), per batch rather than per key -- see
+        :meth:`~repro.control.loop.ControlLoop.drain`.
         """
         bounds = self._bounds
         pos = self._pos
@@ -927,22 +933,6 @@ class MigrationExecutor:
             )
             if keys:
                 yield batch, keys
-
-    def processed_moves(self):
-        """Yield ``(source, destination, key)`` for every processed move.
-
-        Covers exactly the cursor's range -- the moves :meth:`tick` has
-        taken through the copy/verify/commit phases so far (skipped
-        keys included).  This is the reconciliation surface for
-        retained-source runs: after the cutover epoch, the caller
-        resolves each processed key *once across every executor that
-        touched the plan* (the drain's catch-up pass re-runs an
-        overlapping plan) -- see
-        :meth:`~repro.control.loop.ControlLoop.drain`.
-        """
-        for batch, keys in self.processed_batches():
-            for key in keys:
-                yield batch.source, batch.destination, key
 
     def verify(self) -> int:
         """Ownership pass over everything the cursor has processed.

@@ -36,9 +36,9 @@ __all__ = [
     "total_nbytes",
 ]
 
-#: Sentinel distinguishing "stored None" from "absent".  Public so the
-#: allocation-free bulk readers (:meth:`ServerStore.read_many`) can hand
-#: it back to engine-grade callers, who compare by identity only --
+#: Sentinel distinguishing "stored None" from "absent".  Public so
+#: engine-grade callers can pass it as the bulk reads' default
+#: (``get_many(keys, default=MISSING)``) and compare by identity only --
 #: never with ``==`` (stored values may be arrays, whose ``==`` is
 #: elementwise).
 MISSING = object()
@@ -404,14 +404,9 @@ class ServerStore:
         return values, found
 
     def read_many(self, keys: Sequence[Key]) -> Tuple[List[Any], int]:
-        """Engine-grade :meth:`get_many`: ``(values, miss_count)``.
-
-        Absent keys carry the module's :data:`MISSING` sentinel in
-        ``values`` (compare by identity only) and no numpy mask is
-        built -- this is the migration executor's hot read, where the
-        per-call cost of array construction would dominate small
-        per-server chunks.
-        """
+        """:meth:`get_many` without the mask: ``(values, miss_count)``,
+        misses as :data:`MISSING`.  Nothing in the package calls it; it
+        stays while ``perfbench/spans.py`` wraps it by name."""
         return _read_pairs(self._items, keys)
 
     def delete_many(
@@ -436,21 +431,6 @@ class ServerStore:
             return np.ones(len(popped), dtype=np.int64)
         return np.fromiter(map(is_not, popped, repeat(_MISSING)), np.int64, len(popped))
 
-    def discard_many(
-        self, keys: Sequence[Key], accounted_nbytes: Optional[int] = None
-    ) -> int:
-        """Engine-grade :meth:`delete_many`: returns the removed count.
-
-        Identical removal and accounting semantics, but no per-key hit
-        array is built -- the migration executor's commit phase only
-        needs the count (and usually supplies ``accounted_nbytes`` from
-        the tick's one pricing pass, making the all-hit case pure dict
-        work).
-        """
-        __, removed, released = _pop_keys(self._items, keys, accounted_nbytes)
-        self._nbytes -= released
-        return removed
-
     def evict_many(self, keys: Sequence[Key], accounted_nbytes: int) -> int:
         """Unchecked bulk delete: a bare C-speed ``del`` per key.
 
@@ -459,7 +439,7 @@ class ServerStore:
         executor's commit qualifies (it just read these keys from this
         store, and a plan never repeats a key).  Violating the
         precondition raises ``KeyError`` mid-removal and leaves the
-        byte accounting stale; use :meth:`discard_many` when unsure.
+        byte accounting stale; use :meth:`delete_many` when unsure.
         """
         items = self._items
         for key in keys:

@@ -5,7 +5,8 @@ The contract (see :mod:`repro.hashing.base`):
 * the ``k`` replicas of a key are pairwise distinct;
 * ``lookup_replicas(key, 1)[0] == lookup(key)`` -- the replica set
   degrades to the plain lookup;
-* batch and scalar replica routing agree bit-exactly;
+* batch rows agree bit-exactly with the per-key walks of
+  ``replica_reference``, which share no code with the kernels;
 * ``k`` outside ``[1, server_count]`` raises a clear
   :class:`~repro.errors.ReplicaCountError`.
 """
@@ -16,6 +17,8 @@ import pytest
 from repro.errors import EmptyTableError, ReplicaCountError
 from repro.hashing import make_table, registered_algorithms
 from repro.hashing.hd import HDHashTable
+
+from .replica_reference import reference_replicas
 
 LIGHT_CONFIG = {"hd": {"dim": 1_024, "codebook_size": 128}}
 N_SERVERS = 10
@@ -51,7 +54,7 @@ class TestReplicaContract:
         table = build(name)
         batch = table.route_replicas_batch(words, k)
         for index in range(0, words.size, 23):
-            scalar = table.route_word_replicas(int(words[index]), k)
+            scalar = reference_replicas(table, int(words[index]), k)
             assert scalar.tolist() == batch[index].tolist()
 
     def test_first_replica_is_the_route(self, name, k, words):

@@ -1,14 +1,14 @@
-"""Batch==scalar exactness for the vectorized replica walks.
+"""The vectorized replica walks against a per-key reference.
 
-PR 7 replaced the per-key Python successor walks behind
-``route_replicas`` (consistent, bounded, multiprobe, modular, maglev)
-and the scalar-wrapping weighted path with array kernels
-(:meth:`~repro.hashing.base.DynamicHashTable._walk_distinct_batch` and
-the fused weighted group-max).  The general replica contract is covered
-by ``test_replica_property``; this module stresses the walk-specific
-hazards with denser sampling:
+The walk-based replica kernels (consistent, bounded, multiprobe,
+modular and maglev over
+:meth:`~repro.hashing.base.DynamicHashTable._walk_distinct_batch`, and
+the weighted wrapper's fused group-max) are checked row by row against
+the per-key walks of ``replica_reference``.  The general replica
+contract is covered by ``test_replica_property``; this module stresses
+the walk-specific hazards with denser sampling:
 
-* batch == scalar bit-exactly at ``k`` in {1, 2, 5} across server
+* batch == reference bit-exactly at ``k`` in {1, 2, 5} across server
   counts where the walk's masked-advance loop takes very different
   numbers of steps (2 servers forces ``_complete_replicas`` fills;
   33 servers makes virtual-node rings long);
@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro.hashing import make_table
+
+from .replica_reference import reference_replicas
 
 WALK_ALGORITHMS = [
     "consistent",
@@ -57,7 +59,7 @@ def test_batch_matches_scalar(name, k, n_servers, words):
     batch = table.route_replicas_batch(words, k)
     assert batch.shape == (words.size, k)
     for index, word in enumerate(words.tolist()):
-        scalar = table.route_word_replicas(word, k)
+        scalar = reference_replicas(table, word, k)
         assert scalar.tolist() == batch[index].tolist(), (name, k, index)
 
 
@@ -69,5 +71,5 @@ def test_full_permutation_terminates(name, n_servers, words):
     batch = table.route_replicas_batch(words[:100], k)
     for index, row in enumerate(batch.tolist()):
         assert sorted(row) == list(range(n_servers)), (name, index)
-        scalar = table.route_word_replicas(int(words[index]), k)
+        scalar = reference_replicas(table, int(words[index]), k)
         assert scalar.tolist() == row

@@ -328,7 +328,11 @@ class TestProcessedViews:
         seen = []
         while not bulk.status.done:
             bulk.tick()
-            processed = list(bulk.processed_moves())
+            processed = [
+                (batch.source, batch.destination, key)
+                for batch, keys in bulk.processed_batches()
+                for key in keys
+            ]
             remaining = [
                 (batch.source, batch.destination, key)
                 for batch in bulk.remaining_plan().batches
@@ -352,4 +356,9 @@ class TestProcessedViews:
             for batch, keys in bulk.processed_batches()
             for key in keys
         ]
-        assert flattened == list(bulk.processed_moves())
+        progress = bulk.status.planned - bulk.status.remaining
+        assert 0 < progress < plan.total_keys
+        assert flattened == [
+            (move.source, move.destination, move.key)
+            for move in plan.moves[:progress]
+        ]
