@@ -2,12 +2,13 @@
 
 The relative regression gate only catches drops against the committed
 baseline; these floors pin the serving tier's two request rates to
-absolute values so the columnar kernels cannot quietly regress to the
-per-key paths together with a refreshed baseline.
+absolute values so the batched cache and routing paths cannot quietly
+regress to per-key paths together with a refreshed baseline.
 
 On the reference container the fast profile measures 9.2-12.2M req/s
-on ``serve_hot`` across every algorithm (the pre-columnar OrderedDict
-front-end measured 2.6-3.5M) and 0.7-1.9M req/s on ``serve_cold``
+on ``serve_hot`` across every algorithm (a front-end probing its
+``OrderedDict`` LRU once per request measured 2.6-3.5M) and 0.7-1.9M
+req/s on ``serve_cold``
 (cacheless, every request routed).  The hot floor sits at 6M -- about
 2x the best the scalar cache ever measured, with >1.5x headroom below
 the slowest algorithm -- and the cold floor at 300k, >2x headroom
@@ -48,8 +49,8 @@ class TestServeThroughputFloors:
 
     def test_hot_path_beats_cold_path_everywhere(self, fast_report):
         # The cache exists to absorb the Zipf head; if the hot rate
-        # ever drops to the cold rate the columnar probe/install path
-        # has degenerated into routing every request.
+        # ever drops to the cold rate the cache's bulk probe/install
+        # path has degenerated into routing every request.
         not_absorbing = {
             name: (
                 record["serve_hot"]["requests_per_s"],

@@ -55,7 +55,7 @@ reads through the serving tier's synchronous dispatch core
 (:class:`~repro.serve.MicroBatcher` batches through a
 :class:`~repro.serve.HotKeyCache` in front of a stocked data plane) at
 cache steady state -- the end-to-end request rate of the micro-batched
-front-end when its columnar cache is absorbing the hot set.
+front-end when its hot-key cache is absorbing the hot set.
 ``serve_cold`` is the same batches through a cacheless batcher, so
 every request takes the routed ``get_many`` path -- the front-end's
 floor when nothing is cacheable (and the variant where routing cost

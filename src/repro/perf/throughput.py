@@ -48,7 +48,7 @@ the profile's pool size:
     ``serve_batch`` through a :class:`~repro.serve.HotKeyCache` in
     front of a stocked :class:`~repro.store.DataPlane`; the rate is
     requests served per second at cache steady state, which prices
-    the front-end itself (the columnar cache probe + install path).
+    the front-end itself (the cache's bulk probe + install path).
 ``serve_cold``
     the same micro-batches through a *cacheless* batcher -- every
     request takes the routed ``get_many`` path, so the rate prices

@@ -50,9 +50,6 @@ from .metrics import ServingMetrics
 
 __all__ = ["Request", "MicroBatcher"]
 
-#: Sentinel distinguishing "stored None" from "absent".
-_MISSING = object()
-
 #: The empty results of an op class a batch does not hold; read-only,
 #: so every such batch shares them.
 _NO_VALUES = np.empty(0, dtype=object)
@@ -195,7 +192,7 @@ class MicroBatcher:
         cache = self._cache
         probed = cache is not None and len(gets) > 0
         if probed:
-            read_values, found = cache.get_many(gets, default=_MISSING)
+            read_values, found = cache.get_many(gets)
             miss_positions = np.flatnonzero(~found)
             misses = len(miss_positions)
         else:
@@ -225,9 +222,6 @@ class MicroBatcher:
                     [missed[offset] for offset in installed.tolist()],
                     fetched[installed],
                 )
-            # The cache handed misses back as sentinels; the contract
-            # reports them as None.
-            read_values[~found] = None
         if cache is not None:
             if len(deletes):
                 removed = np.flatnonzero(deleted)

@@ -1,4 +1,4 @@
-"""The hot-key cache: an array-backed LRU with *epoch-based* invalidation.
+"""The hot-key cache: an ``OrderedDict`` LRU with *epoch-based* invalidation.
 
 Zipfian traffic concentrates on a small hot set, so a small LRU in
 front of the :class:`~repro.store.DataPlane` absorbs most reads.  The
@@ -16,27 +16,20 @@ Write semantics are write-through: a put refreshes the cached value, a
 delete evicts it, so a cached read can never observe an overwritten
 value.
 
-The layout is columnar, sized to the serving tier's batch dispatch: a
-plain ``dict`` maps key -> slot, and three capacity-length arrays hold
-each slot's key, value and *recency stamp* (a monotonic counter ticked
-once per touch).  The LRU entry is simply the live slot with the lowest
-stamp, so recency refreshes are bulk fancy-index writes, batch reads
-are one C-level ``dict.get`` sweep plus one gather, and evictions pick
-victims by ``argpartition`` over the stamp column -- no
-per-key ``OrderedDict`` relinking anywhere on the serving hot path.
-The scalar entry points are one-key calls of the bulk ones
-(:meth:`HotKeyCache.get_many`, :meth:`HotKeyCache.put_many`,
-:meth:`HotKeyCache.invalidate_many`), and a bulk call is
-bit-equivalent to issuing the scalar calls in sequence -- contents,
-eviction order *and* hit/miss/eviction counters -- which the
-LRU-oracle property suite (``tests/serve/test_cache_oracle.py``) pins
-against an ``OrderedDict`` reference on random op schedules.
+The entries live in one ``OrderedDict``, least recently used first, and
+each bulk call is a few C-level sweeps over its methods -- no Python
+loop per key.  The scalar calls are one-key bulk calls, and a bulk call
+is bit-equivalent to the scalar calls in sequence (contents, LRU order
+and all four counters), which ``tests/serve/test_cache_oracle.py`` pins
+against a plain ``OrderedDict`` reference on random op schedules.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from collections import OrderedDict, deque
+from itertools import compress, islice, repeat
+from operator import itemgetter
+from typing import Any, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -44,15 +37,12 @@ from ..hashfn import Key
 
 __all__ = ["HotKeyCache"]
 
-#: Sentinel distinguishing "cached None" from "absent".
-_ABSENT = object()
-
 #: Default hot-set capacity.
 DEFAULT_CAPACITY = 4_096
 
-#: Stamp parked on free slots -- above every live stamp, so victim
-#: selection over the raw stamp column can never pick an empty slot.
-_FREE = np.iinfo(np.int64).max
+#: Runs an iterator to its end in C, keeping nothing (the ``consume``
+#: recipe): drives the ``map`` sweeps whose calls matter, not results.
+_exhaust = deque(maxlen=0).extend
 
 
 class HotKeyCache:
@@ -62,14 +52,8 @@ class HotKeyCache:
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
         self._capacity = int(capacity)
-        self._slots: dict = {}
-        self._keys = np.empty(self._capacity, dtype=object)
-        self._values = np.empty(self._capacity, dtype=object)
-        self._stamps = np.full(self._capacity, _FREE, dtype=np.int64)
-        #: Free slots, consumed LIFO; empty exactly when the cache is full.
-        self._free: List[int] = list(range(self._capacity - 1, -1, -1))
-        #: Monotonic recency clock; every touch (hit or put) takes a tick.
-        self._clock = 0
+        #: key -> value, least recently used first.
+        self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -82,14 +66,14 @@ class HotKeyCache:
         return self._capacity
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._entries)
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._slots
+        return key in self._entries
 
     def __repr__(self) -> str:
         return "HotKeyCache(size={}, capacity={}, hit_rate={:.3f})".format(
-            len(self._slots), self._capacity, self.hit_rate
+            len(self._entries), self._capacity, self.hit_rate
         )
 
     @property
@@ -100,23 +84,17 @@ class HotKeyCache:
 
     def keys(self) -> Tuple[Key, ...]:
         """Cached keys, least recently used first."""
-        if not self._slots:
-            return ()
-        live = np.fromiter(
-            self._slots.values(), dtype=np.int64, count=len(self._slots)
-        )
-        order = np.argsort(self._stamps[live])
-        return tuple(self._keys[live[order]])
+        return tuple(self._entries)
 
     def key_set(self) -> frozenset:
-        """The cached key set (no order, no copy of the arrays).
+        """The cached key set (no order).
 
         The epoch invalidator intersects each migration plan's moved
         keys against this before evicting, so a million-key plan over a
-        few-thousand-entry cache costs one C-level membership sweep
-        instead of a million Python-level pops.
+        few-thousand-entry cache costs one C-level membership sweep and
+        pops only the residents.
         """
-        return frozenset(self._slots)
+        return frozenset(self._entries)
 
     # -- read path ---------------------------------------------------------
 
@@ -129,42 +107,55 @@ class HotKeyCache:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`get`: ``(values, found)`` aligned to ``keys``.
 
-        One C-level ``dict.get`` sweep resolves slots, one gather pulls
-        the hit values, and every hit's recency stamp is assigned in
-        bulk (duplicate keys in one batch: the later position wins,
-        exactly as sequential gets would leave it).  Misses carry
-        ``default`` in ``values``.  Counter accounting matches the
+        An all-hit batch is one :meth:`_take`; a batch with misses is
+        one membership sweep and a :meth:`_take` of its hits.  Misses
+        carry ``default`` in ``values``.  Counter accounting matches the
         scalar loop: one hit or miss per position.
         """
         n = len(keys)
-        values = np.empty(n, dtype=object)
         if n == 0:
-            return values, np.zeros(0, dtype=bool)
-        slots = np.fromiter(
-            map(self._slots.get, keys, repeat(-1)), dtype=np.int64, count=n
-        )
-        found = slots >= 0
-        hit_count = int(np.count_nonzero(found))
-        self.hits += hit_count
-        self.misses += n - hit_count
-        if default is not None and hit_count < n:
+            return np.empty(0, dtype=object), np.zeros(0, dtype=bool)
+        try:
+            hits = self._take(keys)
+        except KeyError:
+            pass
+        else:
+            self.hits += n
+            # ``fromiter`` builds a flat object array, so tuple and
+            # array values stay whole.
+            return np.fromiter(hits, dtype=object, count=n), np.ones(n, dtype=bool)
+        found = np.fromiter(map(self._entries.__contains__, keys), dtype=bool, count=n)
+        values = np.empty(n, dtype=object)
+        if default is not None:
             # ``fill`` stores the default whole in every cell (the hits
             # overwrite theirs); a masked assignment would broadcast a
             # tuple or array default.
             values.fill(default)
-        if hit_count:
-            hit_slots = slots[found]
-            values[found] = self._values[hit_slots]
-            self._stamps[hit_slots] = np.arange(
-                self._clock, self._clock + hit_count, dtype=np.int64
+        hit_keys = list(compress(keys, found.tolist()))
+        if hit_keys:
+            values[found] = np.fromiter(
+                self._take(hit_keys), dtype=object, count=len(hit_keys)
             )
-            self._clock += hit_count
+        self.hits += len(hit_keys)
+        self.misses += n - len(hit_keys)
         return values, found
+
+    def _take(self, keys: Sequence[Key]) -> tuple:
+        """Gather the values of cached ``keys`` and refresh them in order.
+
+        One ``itemgetter`` gather (KeyError, before any refresh, if a key
+        is absent), then one ``move_to_end`` sweep in batch order: a key
+        repeated in the batch ends where its last position puts it,
+        exactly as sequential gets would leave it.
+        """
+        entries = self._entries
+        values = itemgetter(*keys)(entries) if len(keys) > 1 else (entries[keys[0]],)
+        _exhaust(map(entries.move_to_end, keys))
+        return values
 
     def peek(self, key: Key, default: Any = None) -> Any:
         """Like :meth:`get` but touches neither recency nor counters."""
-        slot = self._slots.get(key, -1)
-        return default if slot < 0 else self._values[slot]
+        return self._entries.get(key, default)
 
     # -- write path --------------------------------------------------------
 
@@ -175,16 +166,15 @@ class HotKeyCache:
     def put_many(self, keys: Sequence[Key], values: Sequence[Any]) -> None:
         """Batched :meth:`put`, bit-equivalent to the sequential loop.
 
-        The whole batch is one slot sweep, one key scatter for its new
-        keys, one value scatter and one bulk stamp assignment.  New
-        keys take the free slots first (in the order scalar puts pop
-        them), then -- on a full cache -- the victims of
-        :meth:`_victims`: the batch's eviction count of least recent
-        entries, picked by one ``argpartition`` over the stamp column
-        and consumed oldest first, exactly as sequential evictions
-        would take them.  Only when that shortcut could diverge from
-        the sequential schedule does the batch replay it slot by slot
-        (:meth:`_put_many_evicting`).
+        The overflow -- distinct new keys beyond the free room -- is
+        evicted first, as one ``islice`` off the LRU end; the batch then
+        lands with one ``update`` (last write wins) and one
+        ``move_to_end`` sweep.  A batch only moves its own keys behind
+        every other entry, so sequential puts evict exactly those oldest
+        entries -- unless the batch refreshes one of them (sequentially
+        kept, or evicted and re-inserted, depending on where its refresh
+        falls) or has more new keys than the cache holds.  Those batches
+        replay put by put (:meth:`_put_many_evicting`).
         """
         n = len(keys)
         if n != len(values):
@@ -194,140 +184,34 @@ class HotKeyCache:
             )
         if n == 0:
             return
-        slots_map = self._slots
-        slots = np.fromiter(
-            map(slots_map.get, keys, repeat(-1)), dtype=np.int64, count=n
-        )
-        new_positions = np.flatnonzero(slots < 0)
-        if new_positions.size:
-            new_keys = [keys[position] for position in new_positions.tolist()]
-            fresh = list(dict.fromkeys(new_keys))
-            overflow = len(slots_map) + len(fresh) - self._capacity
-            if overflow > 0:
-                victims = self._victims(overflow, slots)
-                if victims is None:
-                    self._put_many_evicting(keys, values)
-                    return
-                for key in self._keys[victims]:
-                    del slots_map[key]
-                # Popped after the free slots, oldest first.
-                self._free[:0] = victims[::-1].tolist()
-                self.evictions += overflow
-            free = self._free
-            cut = len(free) - len(fresh)
-            targets = free[cut:][::-1]
-            del free[cut:]
-            slots_map.update(zip(fresh, targets))
-            self._keys[targets] = np.fromiter(fresh, dtype=object, count=len(fresh))
-            slots[new_positions] = np.fromiter(
-                map(slots_map.__getitem__, new_keys),
-                dtype=np.int64,
-                count=len(new_keys),
-            )
-        # ``fromiter`` builds a flat object array, so tuple and array
-        # values stay whole; repeated keys resolve last-write-wins, as
-        # sequential puts would.
-        self._values[slots] = np.fromiter(values, dtype=object, count=n)
-        self._stamps[slots] = np.arange(
-            self._clock, self._clock + n, dtype=np.int64
-        )
-        self._clock += n
+        entries = self._entries
+        overflow = len(entries) + n - self._capacity
+        if overflow > 0:
+            distinct = set(keys)
+            overflow -= n - len(distinct)
+            overflow -= sum(map(entries.__contains__, distinct))
+        if overflow > 0:
+            victims = list(islice(entries, overflow))
+            if len(victims) < overflow or not distinct.isdisjoint(victims):
+                self._put_many_evicting(keys, values)
+                return
+            _exhaust(map(entries.__delitem__, victims))
+            self.evictions += overflow
+        entries.update(zip(keys, values))
+        _exhaust(map(entries.move_to_end, keys))
 
-    def _victims(self, overflow: int, slots: np.ndarray) -> Optional[np.ndarray]:
-        """The ``overflow`` least recent entries, oldest first -- or None.
-
-        Free slots park at ``int64 max``, so one ``argpartition`` over
-        the raw stamp column yields the lowest live stamps.  Sequential
-        puts evict exactly these, in this order, provided every
-        eviction finds a pre-batch entry the batch has not refreshed:
-        the batch only ever stamps above every pre-batch stamp, so the
-        LRU entry at each eviction is the next of them.  Two cases
-        break that and return None: the batch evicts more entries than
-        the cache holds (capacity below the batch's new keys), or it
-        refreshes one of the would-be victims (``slots`` are the
-        batch's resolved slots, -1 for new keys) -- sequentially that
-        entry is either kept or evicted and re-inserted, depending on
-        where in the batch its refresh falls.
-        """
-        if overflow > len(self._slots):
-            return None
-        stamps = self._stamps
-        victims = np.argpartition(stamps, overflow - 1)[:overflow]
-        refreshed = slots[slots >= 0]
-        if refreshed.size and stamps[refreshed].min() <= stamps[victims].max():
-            return None
-        return victims[np.argsort(stamps[victims])]
-
-    def _put_many_evicting(
-        self, keys: Sequence[Key], values: Sequence[Any]
-    ) -> None:
-        """:meth:`put_many`'s exact fallback: the sequential LRU replay.
-
-        Runs only where :meth:`_victims` declines.  Victim order is
-        precomputed once: the batch can evict at most ``len(keys)``
-        entries and skip at most ``len(keys)`` refreshed ones, so the
-        ``2n + 1`` lowest pre-batch stamps (one ``argpartition``) cover
-        every victim the sequential schedule can reach.  Entries refreshed by the batch are recognised by
-        their stamp having moved past the batch's start tick and
-        skipped; should the pre-batch pool run dry (capacity smaller
-        than the batch), victims continue among batch-stamped slots in
-        stamp order, which is exactly the sequential LRU order again.
-        """
-        slots_map = self._slots
-        stamps = self._stamps
-        keys_column = self._keys
-        values_column = self._values
-        free = self._free
-        clock = self._clock
-        start = clock
-        live = np.fromiter(
-            slots_map.values(), dtype=np.int64, count=len(slots_map)
-        )
-        pool = 2 * len(keys) + 1
-        if live.size > pool:
-            live = live[np.argpartition(stamps[live], pool)[:pool]]
-        victims = live[np.argsort(stamps[live])].tolist()
-        victim_cursor = 0
-        #: Every stamp assigned this batch, in order -- the fallback
-        #: victim queue once all pre-batch entries are consumed.
-        stamped: List[Tuple[int, int]] = []
-        stamped_cursor = 0
+    def _put_many_evicting(self, keys: Sequence[Key], values: Sequence[Any]) -> None:
+        """:meth:`put_many`'s exact fallback: the sequential LRU replay."""
+        entries = self._entries
+        capacity = self._capacity
         evictions = 0
         for key, value in zip(keys, values):
-            slot = slots_map.get(key, -1)
-            if slot < 0:
-                if free:
-                    slot = free.pop()
-                else:
-                    slot = -1
-                    while victim_cursor < len(victims):
-                        candidate = victims[victim_cursor]
-                        victim_cursor += 1
-                        if stamps[candidate] < start:
-                            slot = candidate
-                            break
-                    while slot < 0:
-                        candidate, stamp = stamped[stamped_cursor]
-                        stamped_cursor += 1
-                        if stamps[candidate] == stamp:
-                            slot = candidate
-                    del slots_map[keys_column[slot]]
-                    evictions += 1
-                slots_map[key] = slot
-                keys_column[slot] = key
-            values_column[slot] = value
-            stamps[slot] = clock
-            stamped.append((slot, clock))
-            clock += 1
-        self._clock = clock
+            entries[key] = value
+            entries.move_to_end(key)
+            if len(entries) > capacity:
+                entries.popitem(last=False)
+                evictions += 1
         self.evictions += evictions
-
-    def _release(self, slot: int) -> None:
-        """Return a slot to the free pool (invalidation/flush path)."""
-        self._keys[slot] = None
-        self._values[slot] = None
-        self._stamps[slot] = _FREE
-        self._free.append(slot)
 
     def invalidate(self, key: Key) -> bool:
         """Drop one entry; True when it was cached."""
@@ -339,17 +223,13 @@ class HotKeyCache:
         This is the epoch path: fed the (pre-intersected, see
         :meth:`key_set`) moved-key set of a migration plan, it evicts
         precisely the entries whose routing changed and leaves every
-        other hot entry warm.  One dict pop per key, one counter update
-        per call.
+        other hot entry warm.  One C-level ``pop`` sweep; the count is
+        the size drop, so a key repeated in ``keys`` counts once.
         """
-        pop = self._slots.pop
-        release = self._release
-        evicted = 0
-        for key in keys:
-            slot = pop(key, -1)
-            if slot >= 0:
-                release(slot)
-                evicted += 1
+        entries = self._entries
+        before = len(entries)
+        _exhaust(map(entries.pop, keys, repeat(None)))
+        evicted = before - len(entries)
         self.invalidations += evicted
         return evicted
 
@@ -360,12 +240,7 @@ class HotKeyCache:
         only takes it when an epoch closes with *no* tracked probe
         population, i.e. when the remapped-key set is unknowable.
         """
-        dropped = len(self._slots)
-        if dropped:
-            self._slots.clear()
-            self._keys[:] = None
-            self._values[:] = None
-            self._stamps[:] = _FREE
-            self._free = list(range(self._capacity - 1, -1, -1))
-            self.invalidations += dropped
+        dropped = len(self._entries)
+        self._entries.clear()
+        self.invalidations += dropped
         return dropped

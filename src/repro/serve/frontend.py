@@ -29,7 +29,7 @@ import asyncio
 from typing import Any, List, Optional, Tuple
 
 from ..hashfn import Key
-from ..service.router import EpochResult, Router, RouterObserver
+from ..service.router import EpochResult, RouterObserver
 from .batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY, MicroBatcher
 from .cache import DEFAULT_CAPACITY, HotKeyCache
 from .metrics import ServingMetrics
@@ -105,7 +105,8 @@ class ServingFrontend:
             max_batch=max_batch,
             max_delay=max_delay,
         )
-        self._invalidators: List[Tuple[Router, EpochInvalidator]] = []
+        #: One per router shard, in shard order.
+        self._invalidators: List[EpochInvalidator] = []
         self._task: Optional["asyncio.Task"] = None
         self._subscribe_invalidators()
 
@@ -115,7 +116,7 @@ class ServingFrontend:
         for source in self._plane.router.shards:
             invalidator = EpochInvalidator(self._cache, source, metrics=self._metrics)
             source.subscribe(invalidator)
-            self._invalidators.append((source, invalidator))
+            self._invalidators.append(invalidator)
 
     # -- introspection ----------------------------------------------------
 
@@ -161,9 +162,12 @@ class ServingFrontend:
         self._batcher.drain()
 
     def close(self) -> None:
-        """Detach the epoch invalidators from their routers."""
-        for source, invalidator in self._invalidators:
-            source.unsubscribe(invalidator)
+        """Detach the epoch invalidators from the router's current shards.
+
+        A shard restored in place carries its predecessor's invalidator.
+        """
+        for shard, invalidator in zip(self._plane.router.shards, self._invalidators):
+            shard.unsubscribe(invalidator)
         self._invalidators.clear()
 
     # -- client API --------------------------------------------------------

@@ -403,9 +403,11 @@ class ClusterRouter(_RoutingSurface):
         diff reuses the outgoing shard's cached probe words (no
         re-hashing); the restored shard then re-tracks its slice of
         the cluster probe population, so fleet-level accounting keeps
-        working.
+        working.  The restored router keeps the outgoing shard's
+        observers, so a cluster subscriber (a serving tier's cache
+        invalidator, say) still hears the shard's later epochs.
         """
-        router = Router.restore(snapshot)
+        router = Router.restore(snapshot, observers=self._shards[index]._observers)
         if router.table.family.seed != self._family.seed:
             raise StateError(
                 "shard snapshot hash-family seed {} does not match the "

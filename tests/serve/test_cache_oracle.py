@@ -1,13 +1,14 @@
-"""LRU-oracle property suite for the array-backed hot-key cache.
+"""LRU-oracle property suite for the hot-key cache's bulk calls.
 
-The columnar :class:`~repro.serve.HotKeyCache` promises bit-equivalence
-with a plain ``OrderedDict`` LRU on *every* op sequence -- scalar ops,
-bulk ops, and any interleaving -- covering contents, eviction (LRU)
-order, and the hit/miss/eviction/invalidation counters.  This suite
-drives random schedules of get/put/invalidate/flush (scalar and bulk,
-including capacity 1, duplicate keys inside one batch, and invalidation
-mid-stream) against the reference implementation below and asserts the
-full observable state after every step.
+:class:`~repro.serve.HotKeyCache` promises bit-equivalence with a
+plain ``OrderedDict`` LRU issuing one scalar call per key, on *every*
+op sequence -- scalar ops, bulk ops, and any interleaving -- covering
+contents, eviction (LRU) order, and the hit/miss/eviction/invalidation
+counters.  This suite drives random schedules of
+get/put/invalidate/flush (scalar and bulk, including capacity 1,
+duplicate keys inside one batch, and invalidation mid-stream) against
+the reference implementation below and asserts the full observable
+state after every step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ _ABSENT = object()
 
 
 class OracleLRU:
-    """The pre-columnar implementation: OrderedDict + move_to_end."""
+    """The reference LRU: OrderedDict + move_to_end, one key per call."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -78,10 +79,14 @@ def assert_equivalent(cache: HotKeyCache, oracle: OracleLRU) -> None:
     assert cache.invalidations == oracle.invalidations
 
 
-def drive(cache, oracle, rng, steps, universe, batch_max=24):
-    """One random schedule over both implementations, checked stepwise."""
+def drive(cache, oracle, rng, steps, universe, batch_max=24, ops=8):
+    """One random schedule over both implementations, checked stepwise.
+
+    ``ops`` below 8 leaves out the later ops: at 5, every step is a get
+    or a put.
+    """
     for step in range(steps):
-        op = rng.integers(0, 8)
+        op = rng.integers(0, ops)
         if op <= 1:  # scalar get
             key = int(rng.integers(0, universe))
             assert cache.get(key, _ABSENT) is oracle.get(key, _ABSENT)
@@ -124,11 +129,16 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_schedules(self, capacity, seed):
         rng = np.random.default_rng(1000 * capacity + seed)
-        cache = HotKeyCache(capacity)
-        oracle = OracleLRU(capacity)
         # A universe a few times the capacity keeps hits, misses,
-        # evictions and re-puts of just-evicted keys all frequent.
-        drive(cache, oracle, rng, steps=220, universe=3 * capacity + 4)
+        # evictions and re-puts of just-evicted keys all frequent, but
+        # almost never an all-hit bulk get.  One the cache holds whole
+        # mixes resident, new and repeated keys in every batch; driven
+        # with gets and puts only, it makes nearly every bulk get an
+        # all-hit batch, duplicates included.
+        for universe, ops in ((3 * capacity + 4, 8), (capacity, 8), (capacity, 5)):
+            cache = HotKeyCache(capacity)
+            oracle = OracleLRU(capacity)
+            drive(cache, oracle, rng, steps=220, universe=universe, ops=ops)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batches_larger_than_capacity(self, seed):
@@ -202,7 +212,7 @@ def _put_both(cache, oracle, keys):
 
 
 class TestEvictionFastPath:
-    """Overflowing ``put_many``: ``argpartition`` victims vs the replay."""
+    """Overflowing ``put_many``: the LRU-end slice vs the replay."""
 
     def test_refreshed_key_among_the_victims(self):
         # "a" is the oldest entry and would be the first victim, but the
@@ -306,6 +316,35 @@ class TestBulkSurfaces:
         assert cache.peek("b") is payload[1]
         values, found = cache.get_many(["b"])
         assert values[0] is payload[1] and found[0]
+        values, found = cache.get_many(["a", "b"])
+        assert values[0] is payload[0] and values[1] is payload[1]
+        assert found.all()
+
+    def test_numpy_int64_keys_act_like_their_builtin_twins(self):
+        # Numpy integer keys hash and compare like Python ints: the
+        # same batches, as int64 arrays, must hit, refresh and evict
+        # exactly as the oracle fed their ``tolist()`` twins.
+        rng = np.random.default_rng(11)
+        cache, oracle = HotKeyCache(8), OracleLRU(8)
+        for __ in range(60):
+            keys = rng.integers(0, 14, rng.integers(1, 10))
+            values = [object() for __ in keys]
+            cache.put_many(keys, values)
+            for key, value in zip(keys.tolist(), values):
+                oracle.put(key, value)
+            probes = rng.integers(0, 14, rng.integers(1, 10))
+            for resident in (False, True):
+                if resident:
+                    probes = np.array(cache.keys()[-4:], dtype=np.int64)
+                got, found = cache.get_many(probes, default=_ABSENT)
+                expected = [oracle.get(key, _ABSENT) for key in probes.tolist()]
+                assert list(found) == [want is not _ABSENT for want in expected]
+                assert all(a is b for a, b in zip(got, expected))
+            drops = rng.integers(0, 14, 2)
+            assert cache.invalidate_many(drops) == sum(
+                oracle.invalidate(key) for key in drops.tolist()
+            )
+            assert_equivalent(cache, oracle)
 
     def test_key_set_is_membership_view(self):
         cache = HotKeyCache(4)

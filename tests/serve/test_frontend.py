@@ -77,6 +77,26 @@ class TestServingFrontendSync:
         assert frontend.metrics.cache_flushes == 0
         frontend.close()
 
+    def test_restored_cluster_shard_keeps_exact_invalidation(self):
+        cluster = ClusterRouter("consistent", n_shards=3, seed=3)
+        cluster.sync(["a", "b", "c", "d"])
+        plane = DataPlane(cluster)
+        population = list(range(500))
+        plane.put_many(population, population)
+        plane.track()
+        frontend = ServingFrontend(plane)
+        frontend.cache.put_many(population, population)
+        cluster.restore_shard(0, cluster.snapshot_shard(0))
+        results = cluster.sync(["a", "b", "c", "d", "e"])
+        moved = {key for batch in results.plan.batches for key in batch.keys}
+        assert moved
+        assert set(frontend.cache.keys()) == set(population) - moved
+        frontend.close()
+        for shard in cluster.shards:
+            assert not any(
+                isinstance(observer, EpochInvalidator) for observer in shard._observers
+            )
+
     def test_close_detaches_invalidators(self):
         router, plane, population = tracked_stack()
         frontend = ServingFrontend(plane)

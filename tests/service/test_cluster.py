@@ -10,6 +10,7 @@ from repro.service import (
     ClusterRouter,
     MembershipUpdate,
     Router,
+    RouterObserver,
     dumps_state,
     loads_state,
 )
@@ -228,6 +229,20 @@ class TestClusterSnapshot:
         # now move back.
         assert not plan.is_empty
         assert {move.key for move in plan.moves} <= set(PROBE.tolist())
+
+    def test_restored_shard_keeps_its_observers(self):
+        cluster = build(probe=True)
+        epochs = []
+
+        class Recorder(RouterObserver):
+            def on_epoch(self, result):
+                epochs.append(result.record.epoch)
+
+        cluster.subscribe(Recorder())
+        cluster.restore_shard(0, cluster.snapshot_shard(0))
+        cluster.sync(FLEET + ("srv-new",))
+        # one join epoch, closed by every shard -- the restored one too
+        assert len(epochs) == cluster.n_shards
 
     def test_restore_shard_rejects_foreign_seed(self):
         cluster = build(seed=3)
