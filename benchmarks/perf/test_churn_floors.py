@@ -11,9 +11,10 @@ baseline (the CI ``perf-smoke`` job runs this whole package):
   ~3.6k ev/s and Maglev ~4.6k; both now clear the floor, and nothing
   may fall back under it;
 * the weighted wrapper specifically must clear 35k ev/s -- its churn
-  was the fleet's worst by 3x, and the owner-map patching kernels are
-  what the floor witnesses -- and it must no longer be the slowest
-  algorithm in the fleet;
+  was the fleet's worst by 3x, and the wrapper's per-server block
+  update of its owner map (one inner bulk call and one owner-block
+  patch per real server) is what the floor witnesses -- and it must
+  no longer be the slowest algorithm in the fleet;
 * closing a *named* epoch over a million tracked keys must be at least
   5x faster than the full tracked-slice re-route for the delta-scoped
   algorithms (HD, the ring, rendezvous and its weighted variant) --

@@ -4,7 +4,8 @@ Every algorithm in this package -- the paper's three comparands plus the
 extension baselines -- implements :class:`DynamicHashTable`:
 
 * ``join(server_id)`` / ``leave(server_id)``, the emulator's special
-  requests (Section 5.1);
+  requests (Section 5.1), each a one-member ``join_many`` /
+  ``leave_many`` event;
 * ``lookup(key)``, the scalar deployment path used by the efficiency
   experiment;
 * ``route_batch(words)``, the vectorized path used by the robustness and
@@ -20,6 +21,13 @@ Routing is split into key hashing (``HashFamily.word``) and word routing
 (``route_word``) so that a pristine replica and a corrupted table can be
 replayed on bit-identical word streams.
 
+Each algorithm implements membership once, as one hook pair chosen by
+who calls it: the bulk kernel ``_join_many``/``_leave_many`` (the
+tables the weighted wrapper may hold, since it admits a server's
+virtual members in one call) or the per-member ``_join``/``_leave``,
+which the default bulk hooks loop over.  Scalar ``join``/``leave`` are
+one-member bulk calls, so every entry point runs the same kernel.
+
 Each algorithm implements replicas once, as its batch kernel
 ``_route_replicas_batch``; the scalar form reads one row of it.
 Ranking algorithms take the top ``k`` (HD: the k nearest item-memory
@@ -31,6 +39,7 @@ and hierarchical re-route salted rehashes (:meth:`_rehash_replicas_batch`).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,20 +118,13 @@ class DynamicHashTable(ABC):
         """Add a server to the pool (the emulator's join request)."""
         if server_id in self._server_ids:
             raise DuplicateServerError(server_id)
-        self._join(server_id, self._family.word(server_id))
-        self._server_ids.append(server_id)
+        self._join_many((server_id,), (self._family.word(server_id),))
 
     def leave(self, server_id: Key) -> None:
         """Remove a server from the pool (the emulator's leave request)."""
-        slot = self._slot_of(server_id)
-        self._leave(server_id, slot)
-        del self._server_ids[slot]
+        self._leave_many((server_id,), (self._slot_of(server_id),))
 
-    def join_many(
-        self,
-        server_ids: Sequence[Key],
-        server_words: Optional[Sequence[int]] = None,
-    ) -> None:
+    def join_many(self, server_ids: Sequence[Key]) -> None:
         """Add several servers as one membership event.
 
         Validation (duplicates against the pool and within the batch)
@@ -131,13 +133,6 @@ class DynamicHashTable(ABC):
         override with a single array-level operation per event instead
         of one per member -- bit-identical to joining the same ids one
         at a time, in order.
-
-        ``server_words`` lets a caller that already knows each member's
-        64-bit word (the weighted wrapper derives its virtual members'
-        words vectorized) skip the per-id scalar hash; when given it
-        must align with ``server_ids`` and equal what
-        ``self.family.word`` would return for placement to be
-        deterministic.
         """
         ids = list(server_ids)
         if not ids:
@@ -147,15 +142,7 @@ class DynamicHashTable(ABC):
             if server_id in pool:
                 raise DuplicateServerError(server_id)
             pool.add(server_id)
-        if server_words is None:
-            words = [self._family.word(server_id) for server_id in ids]
-        else:
-            words = [int(word) for word in server_words]
-            if len(words) != len(ids):
-                raise ValueError(
-                    "server_words must align with server_ids"
-                )
-        self._join_many(ids, words)
+        self._join_many(ids, [self._family.word(server_id) for server_id in ids])
 
     def leave_many(self, server_ids: Sequence[Key]) -> None:
         """Remove several servers as one membership event.
@@ -176,9 +163,9 @@ class DynamicHashTable(ABC):
         self._leave_many(ids, [self._slot_of(server_id) for server_id in ids])
 
     def _join_many(
-        self, server_ids: List[Key], server_words: List[int]
+        self, server_ids: Sequence[Key], server_words: Sequence[int]
     ) -> None:
-        """Bulk-join hook on a pre-validated batch.
+        """Join hook on a pre-validated batch, one member or many.
 
         Responsible for extending ``self._server_ids`` (so overrides
         can compute all new slots before any registry mutation).
@@ -186,37 +173,43 @@ class DynamicHashTable(ABC):
         internal caller (the weighted wrapper derives virtual-member
         words vectorized); the default coerces each word back to a
         Python int so scalar hooks never see numpy's overflow-warning
-        scalar arithmetic.
+        scalar arithmetic.  The default joins member by member through
+        :meth:`_join`, so a failing member leaves the earlier ones
+        joined, as sequential joins would.
         """
         for server_id, server_word in zip(server_ids, server_words):
             self._join(server_id, int(server_word))
             self._server_ids.append(server_id)
 
     def _leave_many(
-        self, server_ids: List[Key], server_slots: List[int]
+        self, server_ids: Sequence[Key], server_slots: Sequence[int]
     ) -> None:
-        """Bulk-leave hook on a pre-validated batch.
+        """Leave hook on a pre-validated batch, one member or many.
 
         ``server_slots`` aligns with ``server_ids`` and holds each
         member's slot *before any removal* -- callers that already
         track their members' slots (the weighted wrapper's owner map)
         hand them over so array-level overrides skip the per-id
         registry scans.  Responsible for shrinking ``self._server_ids``.
-        The default replays the scalar hook per member (recomputing
-        slots, since they shift as members are removed).
+        The default leaves member by member through :meth:`_leave`,
+        moving each given slot down past the members already removed.
         """
-        for server_id in server_ids:
-            slot = self._slot_of(server_id)
-            self._leave(server_id, slot)
-            del self._server_ids[slot]
+        removed: List[int] = []
+        for server_id, slot in zip(server_ids, server_slots):
+            shift = bisect_left(removed, slot)
+            insort(removed, slot)
+            self._leave(server_id, slot - shift)
+            del self._server_ids[slot - shift]
 
-    @abstractmethod
     def _join(self, server_id: Key, server_word: int) -> None:
-        """Algorithm-specific join; runs before the registry append."""
+        """Per-member join, looped over by the default :meth:`_join_many`;
+        runs before the registry append."""
+        raise NotImplementedError
 
-    @abstractmethod
     def _leave(self, server_id: Key, slot: int) -> None:
-        """Algorithm-specific leave; runs before the registry removal."""
+        """Per-member leave, looped over by the default
+        :meth:`_leave_many`; runs before the registry removal."""
+        raise NotImplementedError
 
     # -- routing ------------------------------------------------------------
 
@@ -627,9 +620,9 @@ class DynamicHashTable(ABC):
         overrides this with a direct state install.
         """
         self._server_ids = []
-        for server_id in server_ids:
-            self._join(server_id, self._family.word(server_id))
-            self._server_ids.append(server_id)
+        self._join_many(
+            server_ids, [self._family.word(server_id) for server_id in server_ids]
+        )
 
     # -- fault-injection surface --------------------------------------------
 

@@ -173,11 +173,6 @@ class ConsistentHashTable(DynamicHashTable):
             positions.append(position)
         return positions
 
-    def _positions_for(self, server_word: int) -> List:
-        return self._positions_into(
-            server_word, set(self._ring_positions.tolist())
-        )
-
     def _merge_into_ring(self, values: np.ndarray, slots: np.ndarray) -> None:
         """Insert ``(position, slot)`` pairs in one merged ring copy.
 
@@ -192,14 +187,6 @@ class ConsistentHashTable(DynamicHashTable):
         indices = np.searchsorted(self._ring_positions, values)
         self._ring_positions = np.insert(self._ring_positions, indices, values)
         self._ring_slots = np.insert(self._ring_slots, indices, slots)
-
-    def _join(self, server_id: Key, server_word: int) -> None:
-        slot = self.server_count
-        positions = self._positions_for(server_word)
-        values = np.asarray(positions, dtype=self._ring_positions.dtype)
-        self._merge_into_ring(
-            values, np.full(values.size, slot, dtype=np.int64)
-        )
 
     def _join_many(
         self, server_ids: List[Key], server_words: List[int]
@@ -220,23 +207,18 @@ class ConsistentHashTable(DynamicHashTable):
         )
         self._server_ids.extend(server_ids)
 
-    def _drop_slots(self, removed: np.ndarray) -> None:
-        """Remove every ring entry of ``removed`` slots, renumbering the
-        survivors exactly as sequential leaves would (each surviving
-        slot drops by the number of removed slots below it)."""
-        keep = ~np.isin(self._ring_slots, removed)
-        self._ring_positions = self._ring_positions[keep].copy()
-        slots = self._ring_slots[keep]
-        shift = np.searchsorted(np.sort(removed), slots, side="left")
-        self._ring_slots = (slots - shift).astype(np.int64)
-
-    def _leave(self, server_id: Key, slot: int) -> None:
-        self._drop_slots(np.asarray([slot], dtype=np.int64))
-
     def _leave_many(
         self, server_ids: List[Key], server_slots: List[int]
     ) -> None:
-        self._drop_slots(np.asarray(server_slots, dtype=np.int64))
+        # Drop every ring entry of the departing slots, renumbering the
+        # survivors exactly as sequential leaves would (each surviving
+        # slot drops by the number of removed slots below it).
+        removed = np.sort(np.asarray(server_slots, dtype=np.int64))
+        keep = ~np.isin(self._ring_slots, removed)
+        self._ring_positions = self._ring_positions[keep].copy()
+        slots = self._ring_slots[keep]
+        shift = np.searchsorted(removed, slots, side="left")
+        self._ring_slots = (slots - shift).astype(np.int64)
         for slot in sorted(server_slots, reverse=True):
             del self._server_ids[slot]
 

@@ -129,23 +129,16 @@ class HierarchicalHashTable(DynamicHashTable):
 
     # -- membership -------------------------------------------------------
 
-    def _join(self, server_id: Key, server_word: int) -> None:
-        group = self._assign_group(server_word)
-        self._inners[group].join(server_id)
-        self._group_of[server_id] = group
-
-    def _leave(self, server_id: Key, slot: int) -> None:
-        group = self._group_of.pop(server_id)
-        self._inners[group].leave(server_id)
-
     def _join_many(
         self, server_ids: List[Key], server_words: List[int]
     ) -> None:
         # One bulk join per touched group: members land in each inner
-        # table in event order, exactly as sequential joins would.  The
-        # outer words transfer to each inner only when the families
-        # match (always true for bare-name sub-specs, which inherit the
-        # outer seed); otherwise the inner re-hashes.
+        # table in event order, exactly as sequential joins would.  When
+        # the families match (always true for bare-name sub-specs, which
+        # inherit the outer seed) the outer words go straight to the
+        # inner's bulk hook: each server sits in exactly one group, so
+        # the outer validation covers the inner pools.  Otherwise the
+        # inner re-hashes through its public path.
         grouped: Dict[int, List[Key]] = {}
         grouped_words: Dict[int, List[int]] = {}
         for server_id, word in zip(server_ids, server_words):
@@ -156,7 +149,7 @@ class HierarchicalHashTable(DynamicHashTable):
         for group, members in grouped.items():
             inner = self._inners[group]
             if inner.family.seed == self._family.seed:
-                inner.join_many(members, grouped_words[group])
+                inner._join_many(members, grouped_words[group])
             else:
                 inner.join_many(members)
         self._server_ids.extend(server_ids)

@@ -41,31 +41,22 @@ class ModularHashTable(DynamicHashTable):
         super().__init__(family=family, seed=seed)
         self._slot_refs = np.empty(0, dtype=np.int64)
 
-    def _rebuild(self, count: int) -> None:
-        # Resizing rehashes everything: the indirection becomes identity
-        # again, mirroring a freshly allocated table.
-        self._slot_refs = np.arange(count, dtype=np.int64)
-
-    def _join(self, server_id: Key, server_word: int) -> None:
-        self._rebuild(self.server_count + 1)
-
-    def _leave(self, server_id: Key, slot: int) -> None:
-        self._rebuild(self.server_count - 1)
-
     def _join_many(
         self, server_ids: List[Key], server_words: List[int]
     ) -> None:
-        # The modulus only depends on the final count: one rebuild per
-        # event batch instead of one per member.
+        # Resizing rehashes everything: the indirection becomes identity
+        # again, mirroring a freshly allocated table.  The modulus only
+        # depends on the final count, so each event (join or leave)
+        # rebuilds once, not once per member.
         self._server_ids.extend(server_ids)
-        self._rebuild(self.server_count)
+        self._slot_refs = np.arange(len(self._server_ids), dtype=np.int64)
 
     def _leave_many(
         self, server_ids: List[Key], server_slots: List[int]
     ) -> None:
         for slot in sorted(server_slots, reverse=True):
             del self._server_ids[slot]
-        self._rebuild(self.server_count)
+        self._slot_refs = np.arange(len(self._server_ids), dtype=np.int64)
 
     def route_word(self, word: int) -> int:
         self._require_servers()

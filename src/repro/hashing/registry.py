@@ -85,10 +85,13 @@ class AlgorithmEntry:
             :meth:`~DynamicHashTable._route_replicas_batch` kernel, which
             scalar replica routes read too (abstract: every table has one).
         ``churn-incremental``
-            array-level bulk membership kernels
-            (:meth:`~DynamicHashTable._join_many` /
+            the class's membership hooks are its own array-level bulk
+            kernel (:meth:`~DynamicHashTable._join_many` /
             :meth:`~DynamicHashTable._leave_many`): one structural
             operation per membership *event*, not one per member.
+            Unflagged classes implement the per-member
+            ``_join``/``_leave`` instead, which the default bulk hooks
+            loop over.
         ``delta-close``
             delta-scoped epoch accounting kernels
             (:meth:`~DynamicHashTable._delta_scores` /

@@ -79,14 +79,6 @@ class RendezvousHashTable(DynamicHashTable):
         self._pair_family = self.family.derive("hrw")
         self._server_words = np.empty(0, dtype=np.uint64)
 
-    def _join(self, server_id: Key, server_word: int) -> None:
-        self._server_words = np.append(
-            self._server_words, np.uint64(server_word)
-        )
-
-    def _leave(self, server_id: Key, slot: int) -> None:
-        self._server_words = np.delete(self._server_words, slot)
-
     def _join_many(
         self, server_ids: List[Key], server_words: List[int]
     ) -> None:
@@ -260,17 +252,6 @@ class WeightedRendezvousHashTable(RendezvousHashTable):
             else:
                 self._weights.pop(server_id, None)
             raise
-
-    def _join(self, server_id: Key, server_word: int) -> None:
-        super()._join(server_id, server_word)
-        self._weight_array = np.append(
-            self._weight_array, self._weights[server_id]
-        )
-
-    def _leave(self, server_id: Key, slot: int) -> None:
-        super()._leave(server_id, slot)
-        self._weight_array = np.delete(self._weight_array, slot)
-        self._weights.pop(server_id, None)
 
     def _join_many(
         self, server_ids: List[Key], server_words: List[int]

@@ -11,6 +11,12 @@ vector in expectation for every inner algorithm whose placement is
 uniform over members (all of them), at ``O(virtual_base)`` membership
 cost per unit weight.
 
+Membership is per real server (``_join``/``_leave``, which the base
+class's bulk hooks loop over): one inner bulk call admits or evicts a
+server's block of virtual members, and the owner map is patched one
+block at a time.  Nothing can wrap the wrapper and every caller joins
+one server at a time, so it keeps no several-server kernel.
+
 Routing stays batch-native: the inner table's vectorized kernel routes
 the word batch to virtual slots, and one ``int64`` gather maps virtual
 slots to real slots.  Replica sets come from the inner algorithm's own
@@ -158,7 +164,7 @@ class VirtualWeightTable(DynamicHashTable):
         super().join(server_id)
 
     def join_many(self, server_ids, weight: float = 1.0) -> None:
-        """Add several servers, all at ``weight``, in one bulk event."""
+        """Add several servers, all at ``weight``, one after another."""
         if weight <= 0:
             raise ValueError("server weight must be positive")
         self._pending_weight = float(weight)
@@ -188,18 +194,18 @@ class VirtualWeightTable(DynamicHashTable):
             )
         return self._vnode_salts[:count] ^ np.uint64(server_word)
 
-    def _admit_virtual(
-        self, virtual_ids: List[str], virtual_words: np.ndarray
-    ) -> None:
-        """One bulk inner join for a whole event, unwound on failure.
-
-        Calls the inner bulk hook directly: the wrapper already
-        validated the real server id, and virtual ids are injective by
-        construction, so the public-path duplicate scan over the whole
-        virtual pool would be pure overhead on the churn hot path.
-        """
+    def _join(self, server_id: Key, server_word: int) -> None:
+        weight = self._pending_weight
+        virtual_ids = self._virtual_ids(server_id, weight)
+        # One inner bulk join for the server's whole block, unwound on
+        # failure.  It calls the inner hook directly: the wrapper already
+        # validated the real server id, and virtual ids are injective by
+        # construction, so the public-path duplicate scan over the whole
+        # virtual pool would be pure overhead on the churn hot path.
         try:
-            self._inner._join_many(virtual_ids, virtual_words)
+            self._inner._join_many(
+                virtual_ids, self._virtual_words(server_word, len(virtual_ids))
+            )
         except Exception:
             present = set(self._inner.server_ids)
             admitted = [vid for vid in virtual_ids if vid in present]
@@ -207,67 +213,6 @@ class VirtualWeightTable(DynamicHashTable):
                 self._inner.leave_many(admitted)
             self._owner_slot = None
             raise
-
-    def _evict_virtual(
-        self, virtual_ids: List[str], outer_slots: List[int]
-    ) -> None:
-        """One bulk inner leave; direct hook call, as in admit.
-
-        The inner slots come straight from the owner map (each real
-        server's members form one contiguous block of the sorted map,
-        so two binary searches bound it) instead of per-id registry
-        scans.  ``virtual_ids`` must be grouped by ``outer_slots``
-        order, member-index ascending within each group -- exactly how
-        the blocks were admitted.
-        """
-        owner = self._owner_slot
-        if owner is None:
-            self._inner.leave_many(virtual_ids)
-            return
-        slots: List[int] = []
-        for outer_slot in outer_slots:
-            start = int(np.searchsorted(owner, outer_slot, side="left"))
-            stop = int(np.searchsorted(owner, outer_slot, side="right"))
-            slots.extend(range(start, stop))
-        self._inner._leave_many(virtual_ids, slots)
-
-    def _patch_owner_join(self, counts: List[int], base_slot: int) -> None:
-        # New virtual members always land at the tail of the inner
-        # registry, so the gather map grows by one contiguous block per
-        # real server -- no rebuild.
-        if self._owner_slot is None:
-            return
-        owners = np.repeat(
-            np.arange(
-                base_slot, base_slot + len(counts), dtype=np.int64
-            ),
-            counts,
-        )
-        self._owner_slot = np.concatenate([self._owner_slot, owners])
-
-    def _patch_owner_leave(self, removed: List[int]) -> None:
-        # Inner removal preserves the relative order of survivors, so
-        # dropping the departed blocks and renumbering the remaining
-        # owners keeps the map exact.  Removal batches are tiny (one
-        # slot per departing real server), so per-slot compares beat
-        # the set-operation machinery of ``np.isin``/``searchsorted``.
-        if self._owner_slot is None:
-            return
-        owner = self._owner_slot
-        keep = owner != removed[0]
-        for slot in removed[1:]:
-            keep &= owner != slot
-        owner = owner[keep]
-        for slot in reversed(removed):
-            owner[owner > slot] -= 1
-        self._owner_slot = owner
-
-    def _join(self, server_id: Key, server_word: int) -> None:
-        weight = self._pending_weight
-        virtual_ids = self._virtual_ids(server_id, weight)
-        self._admit_virtual(
-            virtual_ids, self._virtual_words(server_word, len(virtual_ids))
-        )
         self._weights[server_id] = weight
         self._members[server_id] = virtual_ids
         if self._owner_slot is not None:
@@ -299,41 +244,6 @@ class VirtualWeightTable(DynamicHashTable):
             )
         else:
             self._owner_slot = owner[stop:] - np.int64(1)
-
-    def _join_many(
-        self, server_ids: List[Key], server_words: List[int]
-    ) -> None:
-        weight = self._pending_weight
-        base_slot = self.server_count
-        virtual_ids: List[str] = []
-        virtual_words: List[np.ndarray] = []
-        counts: List[int] = []
-        for server_id, word in zip(server_ids, server_words):
-            members = self._virtual_ids(server_id, weight)
-            virtual_ids.extend(members)
-            virtual_words.append(self._virtual_words(word, len(members)))
-            counts.append(len(members))
-        self._admit_virtual(virtual_ids, np.concatenate(virtual_words))
-        start = 0
-        for server_id, count in zip(server_ids, counts):
-            self._weights[server_id] = weight
-            self._members[server_id] = virtual_ids[start : start + count]
-            start += count
-        self._patch_owner_join(counts, base_slot)
-        self._server_ids.extend(server_ids)
-
-    def _leave_many(
-        self, server_ids: List[Key], server_slots: List[int]
-    ) -> None:
-        virtual_ids: List[str] = []
-        for server_id in server_ids:
-            self._weights.pop(server_id)
-            virtual_ids.extend(self._members.pop(server_id))
-        self._evict_virtual(virtual_ids, server_slots)
-        removed = sorted(server_slots)
-        self._patch_owner_leave(removed)
-        for slot in reversed(removed):
-            del self._server_ids[slot]
 
     # -- routing ----------------------------------------------------------
 

@@ -67,7 +67,9 @@ class TestCapabilityFlags:
         # Derived from the bulk membership kernel overrides: one
         # array-level structural update per membership event.  HD, jump
         # and Maglev mutate per scalar event by design (their per-event
-        # work is already O(1)-ish), so they are truthfully unflagged.
+        # work is already O(1)-ish), and the weighted wrapper admits one
+        # real server at a time (nothing calls it with several), so
+        # they are truthfully unflagged.
         flagged = {
             name
             for name in registered_algorithms()
@@ -80,7 +82,6 @@ class TestCapabilityFlags:
             "multiprobe-consistent",
             "rendezvous",
             "weighted-rendezvous",
-            "weighted",
             "hierarchical",
         }
 

@@ -201,7 +201,9 @@ class TestAlgorithmsListing:
             assert "replica-native" in line
         # Membership/epoch kernels surface as derived flags too: bulk
         # join/leave kernels and the delta-scoped epoch-close kernels.
-        assert "churn-incremental" in lines["weighted"]
+        assert "churn-incremental" in lines["rendezvous"]
+        assert "churn-incremental" in lines["hierarchical"]
+        assert "churn-incremental" not in lines["weighted"]
         assert "delta-close" in lines["weighted"]
         assert "delta-close" in lines["hd"]
         # Multi-probe overrides the delta kernels only to opt out.
