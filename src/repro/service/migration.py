@@ -27,13 +27,14 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import is_not
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import MigrationError
 from ..hashfn import Key
-from ..store.store import MISSING, item_nbytes
+from ..store.store import MISSING
 
 __all__ = [
     "DeltaTracker",
@@ -44,10 +45,6 @@ __all__ = [
     "MigrationStatus",
     "MigrationExecutor",
 ]
-
-#: Sentinel distinguishing "stored None" from "absent" in store reads
-#: (the stores' own sentinel, so bulk reads compare by identity).
-_MISSING = MISSING
 
 #: An assignment function: pre-hashed words -> server identifiers
 #: (object array), or ``None`` when the pool is empty.
@@ -565,11 +562,12 @@ class MigrationExecutor:
     per-batch key offsets, a tick's cursor advances by one
     ``searchsorted`` over prefix-summed byte costs (instead of per-key
     ``item_bytes`` probes), and each contiguous per-batch segment of
-    the admitted window moves through ``get_many`` -> ``put_many`` ->
-    bulk read-back -> ``delete_many`` with one accounting update per
-    store call.  Within one plan every key appears in exactly one
-    batch, so per-segment phasing is state-identical to the scalar
-    chunk-wide phasing.
+    the admitted window moves through ``read_many`` -> ``put_many`` ->
+    ``read_many`` -> ``evict_many``.  The executor prices nothing: the
+    destination's ``put_many`` charges the copied pairs, and commit
+    releases that same charge at the source.  Within one plan every
+    key appears in exactly one batch, so per-segment phasing is
+    state-identical to the scalar chunk-wide phasing.
 
     Keys absent from their source store (deleted since planning, or
     committed by a previous executor over the same plan) are skipped and
@@ -616,7 +614,7 @@ class MigrationExecutor:
         # set lazily on first read -- set inserts are per-key work the
         # hot loop does not need to pay.
         self._copied_keys: set = set()
-        self._copied_chunks: List[List[Key]] = []
+        self._copied_chunks: List[Sequence[Key]] = []
         self._committed = 0
         self._skipped = 0
         self._bytes_copied = 0
@@ -707,14 +705,14 @@ class MigrationExecutor:
     def tick(self) -> MigrationStatus:
         """Move one throttled chunk through copy -> verify -> commit.
 
-        The admitted window's per-batch segments are grouped by source
-        for the copy reads and commit deletes and by destination for
-        the copy writes and read-back verify, so a tick costs one bulk
-        store call per *server touched*, not per key or per batch.  The
-        whole tick's live items are priced in a single numeric-batch
-        probe that feeds both the destination charge and the source
-        release.  Keys are unique within a plan, so the grouped order
-        is state-identical to the scalar chunk order (including each
+        Each per-batch segment of the admitted window costs four store
+        calls: ``read_many`` at its source and ``put_many`` at its
+        destination (copy), ``read_many`` back at the destination
+        (verify), and ``evict_many`` at its source, releasing what the
+        put charged (commit).  Commit starts only after every segment
+        has read back, so a failed read-back leaves every source as it
+        was.  Keys are unique within a plan, so the segment order is
+        state-identical to the scalar chunk order (including each
         destination dict's insertion order).
         """
         start = self._pos
@@ -724,149 +722,52 @@ class MigrationExecutor:
         # which consumed the chunk before running them.
         self._pos = end
         self._ticks += 1
-        if end <= start:
-            return self.status
-        plane = self._plane
-        segments = list(self._segments(start, end))
-        count = len(segments)
-        seg_keys: List[Sequence[Key]] = [
-            batch.keys[a:b] for batch, a, b in segments
-        ]
-        by_source: Dict[Key, List[int]] = {}
-        by_destination: Dict[Key, List[int]] = {}
-        for index, (batch, __, __b) in enumerate(segments):
-            by_source.setdefault(batch.source, []).append(index)
-            by_destination.setdefault(batch.destination, []).append(index)
+        store = self._plane.store
+        copies = []
+        for batch, a, b in self._segments(start, end):
+            keys = batch.keys[a:b]
+            source = store(batch.source)
+            values, misses = source.read_many(keys)
+            if misses:
+                # Deleted since planning, or already committed by an
+                # earlier executor run over the same plan.
+                self._skipped += misses
+                hits = list(map(is_not, values, itertools.repeat(MISSING)))
+                keys = list(itertools.compress(keys, hits))
+                values = list(itertools.compress(values, hits))
+                if not keys:
+                    # Touching the destination would create its store.
+                    continue
+            destination = store(batch.destination)
+            charged = destination.put_many(keys, values)
+            self._bytes_copied += charged
+            copies.append((source, destination, keys, values, charged))
 
-        # -- copy reads: one bulk fetch per source server -------------
-        missing = _MISSING
-        live_keys: List[Sequence[Key]] = [()] * count
-        live_values: List[List] = [[]] * count
-        # Per-source gather lists whose reads hit every key; the commit
-        # phase deletes exactly these, so it can reuse them instead of
-        # re-concatenating the segments.
-        clean_reads: Dict[Key, Optional[Sequence[Key]]] = {}
-        for source_id, members in by_source.items():
-            gathered = (
-                seg_keys[members[0]]
-                if len(members) == 1
-                else [key for index in members for key in seg_keys[index]]
-            )
-            values, found = plane.store(source_id).get_many(gathered, default=missing)
-            misses = not found.all()
-            clean_reads[source_id] = None if misses else gathered
-            offset = 0
-            for index in members:
-                keys = seg_keys[index]
-                width = len(keys)
-                # A lone member owns the whole read -- no slice copy.
-                picked = (
-                    values
-                    if len(members) == 1
-                    else values[offset : offset + width]
-                )
-                offset += width
-                if misses:
-                    # Deleted since planning, or already committed by
-                    # an earlier executor run over the same plan.
-                    kept_keys = []
-                    kept_values = []
-                    for key, value in zip(keys, picked):
-                        if value is not missing:
-                            kept_keys.append(key)
-                            kept_values.append(value)
-                    self._skipped += width - len(kept_keys)
-                    live_keys[index] = kept_keys
-                    live_values[index] = kept_values
-                else:
-                    live_keys[index] = keys
-                    live_values[index] = picked
-
-        # -- pricing: one numeric probe over the tick's live set ------
-        flat_keys = [key for keys in live_keys for key in keys]
-        live = len(flat_keys)
-        if not live:
-            return self.status
-        # A batch of machine scalars (int/float/bool) sums to a builtin
-        # number in one C pass; anything else -- strings, bytes, None,
-        # arrays, numpy scalars -- either raises or yields a non-builtin
-        # total, and falls through to the exact per-item pricing.  Both
-        # outcomes match the scalar executor's ``item_nbytes`` sums
-        # (builtin numerics are 8 bytes each).
-        try:
-            probe = sum(flat_keys) + sum(map(sum, live_values))
-            numeric = type(probe) is int or type(probe) is float
-        except (TypeError, ValueError):
-            numeric = False
-        if numeric:
-            seg_nbytes = [16 * len(keys) for keys in live_keys]
-        else:
-            seg_nbytes = [
-                sum(map(item_nbytes, keys)) + sum(map(item_nbytes, values))
-                for keys, values in zip(live_keys, live_values)
-            ]
-
-        # -- copy writes + verify: one bulk put/read-back per dest ----
-        for destination_id, members in by_destination.items():
-            if len(members) == 1:
-                index = members[0]
-                copy_keys: Sequence[Key] = live_keys[index]
-                copy_values = live_values[index]
-                charged = seg_nbytes[index]
-            else:
-                copy_keys = [
-                    key for index in members for key in live_keys[index]
-                ]
-                copy_values = [
-                    value for index in members for value in live_values[index]
-                ]
-                charged = sum(seg_nbytes[index] for index in members)
-            if not copy_keys:
-                continue
-            store = plane.store(destination_id)
-            self._bytes_copied += store.put_many(
-                copy_keys, copy_values, accounted_nbytes=charged
-            )
-            readback, __ = store.get_many(copy_keys, default=missing)
+        for __, destination, keys, values, __ in copies:
+            readback = destination.read_many(keys)[0]
             # List equality short-circuits per element on identity
             # (exactly the scalar ``is``-then-``==`` check), so the
             # all-good case is one C-level pass.
-            if readback != copy_values:
-                for key, value, seen in zip(copy_keys, copy_values, readback):
+            if readback != values:
+                for key, value, seen in zip(keys, values, readback):
                     if seen is not value and seen != value:
                         raise MigrationError(
                             "copied key {!r} did not read back from {!r} "
                             "(wrote {!r}, read {!r})".format(
-                                key, destination_id, value, seen
+                                key, destination.server_id, value, seen
                             )
                         )
 
-        self._copied += live
-        self._copied_chunks.append(flat_keys)
-
-        # -- commit: one bulk delete per source server ----------------
         # ``evict_many``'s precondition holds: every dropped key was
         # read from its source this tick (so it is present), plans
         # never repeat a key, and the copy writes only ever add keys
         # from *other* batches to a store.
-        if self._delete_source:
-            for source_id, members in by_source.items():
-                cached = clean_reads[source_id]
-                if len(members) == 1:
-                    released = seg_nbytes[members[0]]
-                else:
-                    released = sum(seg_nbytes[index] for index in members)
-                if cached is not None:
-                    drop_keys: Sequence[Key] = cached
-                elif len(members) == 1:
-                    drop_keys = live_keys[members[0]]
-                else:
-                    drop_keys = [
-                        key for index in members for key in live_keys[index]
-                    ]
-                if drop_keys:
-                    plane.store(source_id).evict_many(drop_keys, released)
-        self._committed += live
+        for source, __, keys, __, charged in copies:
+            if self._delete_source:
+                source.evict_many(keys, charged)
+            self._copied += len(keys)
+            self._committed += len(keys)
+            self._copied_chunks.append(keys)
         return self.status
 
     def run(self, max_ticks: Optional[int] = None) -> MigrationStatus:

@@ -6,10 +6,11 @@ deterministic byte accounting.  The migration executor moves keys
 between stores; the accounting is what its byte throttle meters.
 
 The bulk operations are the migration engine's hot path -- they are
-written so the per-key work is one C-driven comprehension pass, with
-byte accounting folded into a single vectorized total per batch
-(:func:`total_nbytes`) instead of two :func:`item_nbytes` calls per
-key.  The scalar API is unchanged.
+written so the per-key work is one C-driven comprehension pass.  This
+module is the only one that prices bytes: every bulk call accounts
+its batch with :func:`total_nbytes`, which settles an all-numeric
+batch with one type probe instead of two :func:`item_nbytes` calls
+per key.
 
 :class:`FleetStores` is the data plane's store pass: it applies one
 routed batch of reads, deletes and puts to every owner's dict at once,
@@ -36,11 +37,10 @@ __all__ = [
     "total_nbytes",
 ]
 
-#: Sentinel distinguishing "stored None" from "absent".  Public so
-#: engine-grade callers can pass it as the bulk reads' default
-#: (``get_many(keys, default=MISSING)``) and compare by identity only --
-#: never with ``==`` (stored values may be arrays, whose ``==`` is
-#: elementwise).
+#: Sentinel distinguishing "stored None" from "absent".  Public
+#: because :meth:`ServerStore.read_many` marks its misses with it;
+#: compare by identity only -- never with ``==`` (stored values may be
+#: arrays, whose ``==`` is elementwise).
 MISSING = object()
 _MISSING = MISSING
 
@@ -62,6 +62,9 @@ _FIXED_NBYTES = {
     np.float32: 8,
     np.float64: 8,
 }
+
+#: The exact types :func:`is_numeric_batch` accepts: 8 bytes each.
+_EIGHT_BYTE_TYPES = frozenset(kind for kind, cost in _FIXED_NBYTES.items() if cost == 8)
 
 
 def item_nbytes(obj: Any) -> int:
@@ -87,50 +90,36 @@ def item_nbytes(obj: Any) -> int:
 
 
 def total_nbytes(objs: Sequence[Any]) -> int:
-    """``sum(item_nbytes(obj) for obj in objs)``, vectorized when cheap.
+    """``sum(item_nbytes(obj) for obj in objs)``, in one probe when numeric.
 
-    Every machine scalar accounts for 8 bytes, so an all-numeric batch
-    costs exactly ``8 * len(objs)``.  Large batches are probed with one
-    ``np.asarray`` pass: a numeric result dtype proves every element
-    was a machine scalar (strings, bytes, ``None``, ``Decimal`` and
-    friends all promote to ``str``/``object`` dtypes and take the exact
-    per-item sum instead), so the fast path is bit-exact with the
-    scalar accounting by construction.  Small batches skip straight to
-    the per-item sum -- the array round-trip only pays for itself once
-    its fixed cost amortizes.
+    Every machine scalar accounts for 8 bytes, so a batch that
+    :func:`is_numeric_batch` accepts costs exactly ``8 * len(objs)``;
+    any other batch takes the per-item sum.
     """
-    n = len(objs)
-    if n == 0:
-        return 0
-    if n >= 16 and is_numeric_batch(objs):
-        return 8 * n
+    if is_numeric_batch(objs):
+        return 8 * len(objs)
     return sum(map(item_nbytes, objs))
 
 
 def is_numeric_batch(objs: Sequence[Any]) -> bool:
-    """Whether every element is a machine scalar (8 accounted bytes).
+    """Whether every element is priced at 8 bytes by a fixed-cost type.
 
-    One C-level ``np.asarray`` probe: only batches of ``bool`` / ``int``
-    / ``float`` / numpy scalars produce a 1-d numeric dtype -- any
-    string, bytes, ``None``, array or rich object promotes the result
-    to ``str``/``object`` (or fails outright) and returns ``False``.
+    A 1-d numpy batch is settled by its numeric dtype alone.  Any other
+    batch is checked type by type against ``_FIXED_NBYTES``' 8-byte
+    types, exact by construction: a subclass or look-alike (a number
+    class whose ``__radd__`` takes an int, a numpy 0-d array) fails the
+    check and takes the per-item price.  A head that is not such a
+    type settles it at once, and a one-type batch is one ``list.count``.
     """
     if isinstance(objs, np.ndarray):
-        array = objs
-    elif len(objs) and not isinstance(objs[0], _SCALARS):
-        # A string (or other non-scalar) head settles it without
-        # building the batch-sized array.
+        return objs.ndim == 1 and objs.dtype.kind in "iufb"
+    if not len(objs):
+        return True
+    head = type(objs[0])
+    if head not in _EIGHT_BYTE_TYPES:
         return False
-    else:
-        try:
-            array = np.asarray(objs)
-        except (TypeError, ValueError, OverflowError):
-            return False
-    return (
-        array.ndim == 1
-        and array.shape[0] == len(objs)
-        and array.dtype.kind in "iufb"
-    )
+    types = list(map(type, objs))
+    return types.count(head) == len(types) or _EIGHT_BYTE_TYPES.issuperset(types)
 
 
 def _costs(objs: Sequence[Any]) -> List[int]:
@@ -221,24 +210,17 @@ def _read_pairs(items: Dict[Key, Any], keys: Sequence[Key]) -> Tuple[List[Any], 
     return values, n - sum(map(is_not, values, repeat(_MISSING)))
 
 
-def _pop_keys(
-    items: Dict[Key, Any],
-    keys: Sequence[Key],
-    accounted_nbytes: Optional[int] = None,
-) -> Tuple[List[Any], int, int]:
+def _pop_keys(items: Dict[Key, Any], keys: Sequence[Key]) -> Tuple[List[Any], int, int]:
     """Pop ``keys`` from ``items``: ``(popped, removed, released)``.
 
     ``popped[i]`` is :data:`MISSING` where ``keys[i]`` was absent (or a
-    duplicate earlier in the batch consumed it).  ``accounted_nbytes``
-    stands for the released bytes only when every key hits.
+    duplicate earlier in the batch consumed it).
     """
     before = len(items)
     popped = list(map(items.pop, keys, repeat(_MISSING)))
     removed = before - len(items)
     if removed == len(popped):
-        if accounted_nbytes is None:
-            accounted_nbytes = total_nbytes(keys) + total_nbytes(popped)
-        return popped, removed, accounted_nbytes
+        return popped, removed, total_nbytes(keys) + total_nbytes(popped)
     if not removed:
         return popped, 0, 0
     hit_keys = []
@@ -346,25 +328,15 @@ class ServerStore:
 
     # -- bulk operations ---------------------------------------------------
 
-    def put_many(
-        self,
-        keys: Sequence[Key],
-        values: Sequence[Any],
-        accounted_nbytes: Optional[int] = None,
-    ) -> int:
+    def put_many(self, keys: Sequence[Key], values: Sequence[Any]) -> int:
         """Store aligned key/value batches; returns the bytes charged.
 
         Semantically identical to putting each pair in order (overwrites
         re-account, the returned total charges every pair), but the
-        accounting is one vectorized pass per batch.  A batch with
-        internal duplicate keys that overwrites stored ones falls back
-        to the sequential puts.
-
-        ``accounted_nbytes`` is a trusted total byte cost for the whole
-        batch, supplied by callers that already measured these exact
-        items (the migration executor prices each tick's live set once
-        and feeds both the destination charge and the source release
-        from it).  Ignored when the batch holds duplicate keys.
+        accounting is one :func:`total_nbytes` pass per side.  A batch
+        with internal duplicate keys that overwrites stored ones falls
+        back to the sequential puts.  The migration executor releases
+        the returned charge at the source it copied the pairs from.
         """
         n = len(keys)
         if n != len(values):
@@ -374,7 +346,7 @@ class ServerStore:
             )
         if n == 0:
             return 0
-        charged, net = _put_pairs(self._items, keys, values, accounted_nbytes)
+        charged, net = _put_pairs(self._items, keys, values)
         self._nbytes += net
         return charged
 
@@ -405,27 +377,23 @@ class ServerStore:
 
     def read_many(self, keys: Sequence[Key]) -> Tuple[List[Any], int]:
         """:meth:`get_many` without the mask: ``(values, miss_count)``,
-        misses as :data:`MISSING`.  Nothing in the package calls it; it
-        stays while ``perfbench/spans.py`` wraps it by name."""
+        misses as :data:`MISSING`.
+
+        The migration executor's copy read and read-back: a miss count
+        of 0 (the common case) leaves nothing to filter, and no mask is
+        built per call.
+        """
         return _read_pairs(self._items, keys)
 
-    def delete_many(
-        self, keys: Sequence[Key], accounted_nbytes: Optional[int] = None
-    ) -> np.ndarray:
+    def delete_many(self, keys: Sequence[Key]) -> np.ndarray:
         """Remove a key batch; returns per-key hit counts (1 or 0).
 
         ``hits[i]`` is 1 when ``keys[i]`` was present and removed, 0
         when it was absent (already deleted, or a duplicate earlier in
         the batch consumed it) -- bulk callers account for skips with
         one ``hits.sum()`` instead of per-key probes.
-
-        ``accounted_nbytes`` is a trusted total byte cost for the whole
-        batch, supplied by callers that just copied these exact items
-        and therefore already hold their accounted size (the migration
-        executor's commit phase).  It is honoured only when every key
-        hits; any miss falls back to exact per-item re-accounting.
         """
-        popped, removed, released = _pop_keys(self._items, keys, accounted_nbytes)
+        popped, removed, released = _pop_keys(self._items, keys)
         self._nbytes -= released
         if removed == len(popped):
             return np.ones(len(popped), dtype=np.int64)
@@ -437,9 +405,11 @@ class ServerStore:
         The caller guarantees every key is present exactly once and
         supplies the batch's accounted byte total -- the migration
         executor's commit qualifies (it just read these keys from this
-        store, and a plan never repeats a key).  Violating the
-        precondition raises ``KeyError`` mid-removal and leaves the
-        byte accounting stale; use :meth:`delete_many` when unsure.
+        store, a plan never repeats a key, and the total is what
+        :meth:`put_many` charged for the same pairs at the
+        destination).  Violating the precondition raises ``KeyError``
+        mid-removal and leaves the byte accounting stale; use
+        :meth:`delete_many` when unsure.
         """
         items = self._items
         for key in keys:

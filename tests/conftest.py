@@ -34,3 +34,24 @@ def populate(table, count: int, prefix: str = ""):
     for index in range(count):
         table.join("{}{}".format(prefix, index) if prefix else index)
     return table
+
+
+class NumberLike:
+    """A value ``sum()`` takes for a number but the store prices by its
+    ``repr``: ``__radd__`` accepts an int, the ``repr`` is longer than
+    8 characters, and equality is by value."""
+
+    def __init__(self, units: int):
+        self.units = units
+
+    def __radd__(self, other):
+        return other + self.units
+
+    def __eq__(self, other):
+        return isinstance(other, NumberLike) and other.units == self.units
+
+    def __hash__(self):
+        return hash(self.units)
+
+    def __repr__(self):
+        return "NumberLike({})".format(self.units)

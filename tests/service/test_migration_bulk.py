@@ -1,28 +1,34 @@
 """Bulk executor vs. scalar reference: bit-exact equivalence.
 
-The migration executor's hot path is array-at-a-time (grouped bulk
-reads, one priced put per destination, one bulk evict per source).
-These tests pin it to a per-key scalar reference executor -- a faithful
-copy of the pre-bulk implementation, driven only through the scalar
-``ServerStore`` API -- and assert the two leave *identical* state
-behind: the same :class:`MigrationStatus` counts, the same
-``copied_keys``, the same ``bytes_copied``, and byte-for-byte identical
-stores, insertion order included.
+The migration executor's hot path is array-at-a-time: each plan
+segment of a tick costs one bulk read at its source, one put at its
+destination, one read-back there and one evict at the source, and the
+store prices every byte.  These tests pin it to a per-key scalar
+reference executor -- a faithful copy of the pre-bulk implementation,
+driven only through the scalar ``ServerStore`` API -- and assert the
+two leave *identical* state behind: the same :class:`MigrationStatus`
+counts, the same ``copied_keys``, the same ``bytes_copied``, and
+byte-for-byte identical stores, insertion order included.
 
 Covered across every registered algorithm: full runs, mid-plan resume
 through ``remaining_plan``, keys deleted before execution, retained
 sources (``delete_source=False``), byte-budget throttling, and
-mixed-type values (strings, bytes, None, arrays) exercising the exact
-pricing path.
+mixed-type values (strings, bytes, None, arrays, and number-like
+values that ``sum()`` accepts but the store prices by ``repr``)
+exercising the exact pricing path.  A failed read-back must raise
+before any source commits.
 """
 
 import numpy as np
 import pytest
 
+from repro.errors import MigrationError
 from repro.hashing import make_table, registered_algorithms
 from repro.service import MigrationExecutor, Router
 from repro.service.migration import MigrationPlan, MoveBatch
 from repro.store import DataPlane
+
+from ..conftest import NumberLike
 
 #: Constructor overrides keeping the expensive tables test-sized.
 #: Private absence sentinel for the reference executor (the store's
@@ -258,6 +264,16 @@ class TestBulkMatchesScalar:
         assert_executors_identical(scalar, bulk)
         assert_planes_identical(scalar_plane, bulk_plane)
 
+    def test_fully_deleted_plan_creates_no_store(self, name):
+        scalar_plane, bulk_plane, plan = grown_pair(name)
+        for move in plan.moves:
+            scalar_plane.store(move.source).delete(move.key)
+            bulk_plane.store(move.source).delete(move.key)
+        ScalarExecutor(plan, scalar_plane).run()
+        MigrationExecutor(plan, bulk_plane).run()
+        # Nothing reached the spare, so neither executor opened its store.
+        assert set(scalar_plane.stores) == set(bulk_plane.stores)
+
     def test_retained_sources(self, name):
         scalar_plane, bulk_plane, plan = grown_pair(name)
         scalar = ScalarExecutor(plan, scalar_plane, delete_source=False)
@@ -299,6 +315,19 @@ class TestMixedValueBatches:
         assert_executors_identical(scalar, bulk)
         assert_planes_identical(scalar_plane, bulk_plane)
 
+    @pytest.mark.parametrize("name", ["consistent", "hd", "modular"])
+    def test_number_like_values_bit_exact(self, name):
+        # ``sum()`` adds a NumberLike to an int, yet the store prices it
+        # by its ``repr``, not as an 8-byte scalar.
+        values = [NumberLike(k) if k % 2 else k for k in range(2_000)]
+        scalar_plane, bulk_plane, plan = grown_pair(name, values=values)
+        scalar = ScalarExecutor(plan, scalar_plane, max_keys_per_tick=64)
+        bulk = MigrationExecutor(plan, bulk_plane, max_keys_per_tick=64)
+        scalar.run()
+        bulk.run()
+        assert_executors_identical(scalar, bulk)
+        assert_planes_identical(scalar_plane, bulk_plane)
+
     def test_mixed_key_types_bit_exact(self):
         router = Router(light_table("modular"))
         fleet = ["srv-{:02d}".format(i) for i in range(8)]
@@ -316,6 +345,38 @@ class TestMixedValueBatches:
         bulk.run()
         assert_executors_identical(scalar, bulk)
         assert_planes_identical(scalar_plane, bulk_plane)
+
+
+class TestReadBackFailure:
+    def test_wrong_copy_raises_before_any_source_commits(self, monkeypatch):
+        __, plane, plan = grown_pair("rendezvous")
+        # The wrong copy sits in the tick's last segment, so a commit
+        # ahead of the whole tick's read-back would already have
+        # evicted the earlier segments' sources.
+        assert len(plan.batches) > 1
+        destination = plan.batches[-1].destination
+        wrong_key = plan.batches[-1].keys[-1]
+        store = plane.store(destination)
+        put_many = store.put_many
+
+        def put_one_wrong(keys, values, *args, **kwargs):
+            values = [
+                "wrong" if key == wrong_key else value
+                for key, value in zip(keys, values)
+            ]
+            return put_many(keys, values, *args, **kwargs)
+
+        monkeypatch.setattr(store, "put_many", put_one_wrong)
+        sources = {batch.source for batch in plan.batches}
+        assert destination not in sources
+        sizes = {source: len(plane.store(source)) for source in sources}
+        executor = MigrationExecutor(plan, plane, max_keys_per_tick=plan.total_keys)
+        with pytest.raises(MigrationError) as raised:
+            executor.tick()
+        assert repr(wrong_key) in str(raised.value)
+        assert repr(destination) in str(raised.value)
+        assert {source: len(plane.store(source)) for source in sources} == sizes
+        assert executor.status.committed == 0
 
 
 class TestProcessedViews:

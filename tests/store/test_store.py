@@ -7,6 +7,8 @@ from repro.hashing import make_table
 from repro.service import Router
 from repro.store import DataPlane, ServerStore, item_nbytes
 
+from ..conftest import NumberLike
+
 
 def plane_with_fleet(n=8, algorithm="consistent"):
     router = Router(make_table(algorithm, seed=3))
@@ -122,6 +124,42 @@ class TestServerStore:
         twin.put("k2", "v2")
         assert "k2" not in store
         assert twin.nbytes > store.nbytes
+
+
+def exact_nbytes(store):
+    return sum(item_nbytes(key) + item_nbytes(value) for key, value in store.items())
+
+
+class TestExactPricing:
+    """``nbytes`` stays the ``item_nbytes`` sum on the bulk paths, with
+    values ``sum()`` takes for numbers.  Every mixed list starts with an
+    int, so no head check settles it."""
+
+    VALUES = [7, NumberLike(1), 2.5, NumberLike(3), True, NumberLike(5)]
+
+    def test_put_many(self):
+        store = ServerStore("s0")
+        store.put_many(list(range(len(self.VALUES))), self.VALUES)
+        assert store.nbytes == exact_nbytes(store)
+
+    def test_delete_many(self):
+        store = ServerStore("s0")
+        keys = list(range(len(self.VALUES)))
+        for key, value in zip(keys, self.VALUES):
+            store.put(key, value)
+        store.delete_many(keys[:4])
+        assert store.nbytes == exact_nbytes(store) > 0
+
+    def test_plane_put_many_owner_runs(self):
+        plane = plane_with_fleet(n=4)
+        keys = np.arange(4_000, dtype=np.int64)
+        values = [NumberLike(k) if k % 2 and k > 64 else k for k in range(4_000)]
+        plane.put_many(keys, values)
+        assert len(plane.stores) == 4
+        for store in plane.stores.values():
+            # Keys up to 64 hold ints, so every owner run starts with one.
+            assert type(next(iter(store.items()))[1]) is int
+            assert store.nbytes == exact_nbytes(store)
 
 
 class TestDataPlane:
