@@ -73,7 +73,6 @@ def run_efficiency(config: EfficiencyConfig = EfficiencyConfig()) -> ExperimentR
         seed=config.seed,
         hd_dim=config.hd_dim,
         hd_codebook_size=config.hd_codebook_size,
-        hd_batch_size=config.batch_size,
     )
     if "hd" in config.algorithms:
         builder.codebook()  # build once, outside the timed region

@@ -34,14 +34,12 @@ class TableBuilder:
         seed: int = 0,
         hd_dim: int = 10_000,
         hd_codebook_size: int = 4_096,
-        hd_batch_size: int = 256,
         consistent_replicas: int = 1,
         consistent_search: str = "count",
     ):
         self.seed = seed
         self.hd_dim = hd_dim
         self.hd_codebook_size = hd_codebook_size
-        self.hd_batch_size = hd_batch_size
         self.consistent_replicas = consistent_replicas
         self.consistent_search = consistent_search
         self._codebooks: Dict[Tuple[int, int, int], BasisSet] = {}
@@ -71,12 +69,7 @@ class TableBuilder:
                 search=self.consistent_search,
             )
         if algorithm == "hd":
-            return make_table(
-                "hd",
-                seed=self.seed,
-                codebook=self.codebook(),
-                batch_size=self.hd_batch_size,
-            )
+            return make_table("hd", seed=self.seed, codebook=self.codebook())
         return make_table(algorithm, seed=self.seed)
 
     def build_populated(self, algorithm: str, n_servers: int):

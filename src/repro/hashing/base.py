@@ -317,9 +317,8 @@ class DynamicHashTable(ABC):
         scale as :meth:`_delta_scores`.  A key moves to the joining
         server exactly where this is *strictly* greater than the cached
         winning score -- strictness encodes every algorithm's tie rule,
-        since a joiner always ranks behind incumbents on ties
-        (later item-memory row, higher slot, and ring positions never
-        collide).
+        since a joiner always ranks behind incumbents on ties (higher
+        slot; ring positions never collide).
         """
         return None
 

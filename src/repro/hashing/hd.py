@@ -94,7 +94,6 @@ class HDConfig:
     codebook: Optional[BasisSet] = None
     backend: str = "auto"
     expose_codebook: bool = False
-    batch_size: int = 256
     require_circular: bool = True
 
 
@@ -118,7 +117,6 @@ class HDHashTable(DynamicHashTable):
         codebook: Optional[BasisSet] = None,
         backend: str = "auto",
         expose_codebook: bool = False,
-        batch_size: int = 256,
         require_circular: bool = True,
     ):
         super().__init__(family=family, seed=seed)
@@ -135,9 +133,6 @@ class HDHashTable(DynamicHashTable):
             self._codebook = circular_basis(codebook_size, dim, rng)
         self._expose_codebook = expose_codebook
         self._install_codebook(self._codebook.packed())
-        if batch_size < 1:
-            raise ValueError("batch size must be at least 1")
-        self._batch_size = batch_size
         self._memory = ItemMemory(self._codebook.dim, backend=backend)
         self._position_of: Dict[Key, int] = {}
         self._occupied: Dict[int, Key] = {}
@@ -179,15 +174,6 @@ class HDHashTable(DynamicHashTable):
     def item_memory(self) -> ItemMemory:
         """The associative memory holding one row per server."""
         return self._memory
-
-    @property
-    def batch_size(self) -> int:
-        """Configured inference batch size (the paper uses 256 on its GPU).
-
-        Kept as declarative config; the batch kernel now sizes its own
-        sweeps by memory budget rather than fixed query counts.
-        """
-        return self._batch_size
 
     def position_of(self, server_id: Key) -> int:
         """Circle node a server was placed on (after probing)."""
@@ -391,10 +377,9 @@ class HDHashTable(DynamicHashTable):
         self._memo_slots[positions] = slots
         self._memo_distances[positions] = distances
 
-    def _memo_at(self, positions: np.ndarray, distances: bool = False) -> np.ndarray:
-        """Memo slots (or distances) at ``positions``, unknown ones
-        inferred first."""
-        memo = self._memo()[1 if distances else 0]
+    def _memo_at(self, positions: np.ndarray) -> np.ndarray:
+        """Memo slots at ``positions``, unknown ones inferred first."""
+        memo = self._memo()[0]
         found = memo[positions]
         if found.size and found.min() < 0:
             self._infer_into_memo(np.unique(positions[found < 0]))
@@ -417,28 +402,6 @@ class HDHashTable(DynamicHashTable):
     def _route_batch(self, words: np.ndarray) -> np.ndarray:
         """One gather from the position memo (see :meth:`infer_batch`)."""
         return self._memo_at(self._route_positions(words))
-
-    # -- delta kernels ------------------------------------------------------
-
-    def _delta_scores(self, words: np.ndarray) -> Optional[np.ndarray]:
-        # Similarity (Eq. 2) is monotone in negated Hamming distance, so
-        # the winning score of a word is minus its winner's distance.
-        # Ties break toward the earliest item-memory row, and a joiner
-        # is always the *latest* row, so the strict-win rule of the
-        # delta contract reproduces the first-minimum argmin exactly.
-        if not self._server_ids:
-            return None
-        return -self._memo_at(self._route_positions(words), distances=True)
-
-    def _delta_challenge(
-        self, server_id: Key, words: np.ndarray
-    ) -> Optional[np.ndarray]:
-        try:
-            row = self._memory.index_of(server_id)
-        except KeyError:
-            return None
-        self._memo()  # settles the codebook differences the column reads
-        return -self._column(row)[self._route_positions(words)]
 
     def _route_replicas_batch(self, words: np.ndarray, k: int) -> np.ndarray:
         """Replicas are the ``k`` nearest item-memory rows.
@@ -464,7 +427,6 @@ class HDHashTable(DynamicHashTable):
             "dim": self.dim,
             "codebook_size": self.codebook_size,
             "backend": self._memory.backend,
-            "batch_size": self._batch_size,
             "expose_codebook": self._expose_codebook,
         }
 
@@ -509,6 +471,9 @@ class HDHashTable(DynamicHashTable):
         from .registry import make_table
 
         config = dict(state.get("config", {}))
+        # Snapshots from before the unread ``batch_size`` setting was
+        # removed still carry it.
+        config.pop("batch_size", None)
         codebook = state["payload"]["codebook"]
         if codebook["mode"] == "explicit":
             config["codebook"] = BasisSet.from_packed(

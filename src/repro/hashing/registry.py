@@ -93,12 +93,15 @@ class AlgorithmEntry:
             ``_join``/``_leave`` instead, which the default bulk hooks
             loop over.
         ``delta-close``
-            delta-scoped epoch accounting kernels
-            (:meth:`~DynamicHashTable._delta_scores` /
-            :meth:`~DynamicHashTable._delta_challenge`), so a tracked
+            a scoped epoch close, so a tracked
             :class:`~repro.service.migration.DeltaTracker` closes
-            join/leave epochs from cached winning scores instead of
-            re-routing the whole tracked population.
+            join/leave epochs without re-routing the whole tracked
+            population: from cached winning scores
+            (:meth:`~DynamicHashTable._delta_scores` /
+            :meth:`~DynamicHashTable._delta_challenge`), or by diffing
+            the owners of a position-routed table
+            (:meth:`~DynamicHashTable._route_positions` /
+            :meth:`~DynamicHashTable._position_owners`).
 
         All flags are derived from which protocol methods the class
         actually overrides, so they stay truthful as kernels land --
@@ -124,7 +127,9 @@ class AlgorithmEntry:
             flags.append("churn-incremental")
         scores_kernel = self.cls._delta_scores
         opted_out = getattr(scores_kernel, "delta_opt_out", False)
-        if scores_kernel is not DynamicHashTable._delta_scores and not opted_out:
+        scored = scores_kernel is not DynamicHashTable._delta_scores and not opted_out
+        positioned = self.cls._route_positions is not DynamicHashTable._route_positions
+        if scored or positioned:
             flags.append("delta-close")
         return tuple(flags)
 

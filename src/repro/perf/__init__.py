@@ -9,12 +9,13 @@ profiles
     ``fast`` / ``bench`` / ``full`` measurement scales (pool size,
     batch width, repetition counts, per-algorithm configs).
 throughput
-    the measurement harness: route / lookup / churn throughput per
-    registered algorithm, plus a machine-calibration sweep that lets
-    runs from different hardware be compared.
+    the measurement harness: every metric's throughput per registered
+    algorithm, plus a machine-calibration sweep that lets runs from
+    different hardware be compared.
 baseline
-    the ``BENCH_throughput.json`` artifact: schema, save/load, and the
-    regression comparison the CI perf gate runs.
+    the metric table (``METRICS``) and the ``BENCH_throughput.json``
+    artifact: schema, save/load, and the regression comparison the CI
+    perf gate runs.
 
 The committed ``BENCH_throughput.json`` at the repo root is the
 baseline every future change is judged against; ``repro bench --check``

@@ -1,5 +1,10 @@
 """The ``BENCH_throughput.json`` artifact and the CI regression gate.
 
+:data:`METRICS` is the metric set, one :class:`Metric` per metric: its
+record section, the key of its raw rate, its report column and its gate
+tier.  The per-algorithm record, the gate and the report all read it;
+:mod:`repro.perf.throughput` says what each metric times.
+
 Schema (version 7; version 2 added the ``route_replicas`` and
 ``cluster_route`` metric sections, version 3 added ``plan_migration``
 and ``migrate_execute``, version 4 added ``control_tick``, version 5
@@ -16,55 +21,11 @@ added ``serve``, version 6 added ``epoch_close``, version 7 split
       "algorithms": {
         "<name>": {
           "servers": <int>, "batch_words": <int>, "config": {...},
-          "route":  {"keys_per_s": <float>, "normalized": <float>},
-          "route_replicas":
-                    {"keys_per_s": <float>, "normalized": <float>},
-          "cluster_route":
-                    {"keys_per_s": <float>, "normalized": <float>},
-          "lookup": {"keys_per_s": <float>, "normalized": <float>},
-          "churn":  {"events_per_s": <float>, "normalized": <float>},
-          "plan_migration":
-                    {"keys_per_s": <float>, "normalized": <float>},
-          "migrate_execute":
-                    {"keys_per_s": <float>, "normalized": <float>},
-          "control_tick":
-                    {"ticks_per_s": <float>, "normalized": <float>},
-          "serve_hot":
-                    {"requests_per_s": <float>, "normalized": <float>},
-          "serve_cold":
-                    {"requests_per_s": <float>, "normalized": <float>},
-          "epoch_close":
-                    {"keys_per_s": <float>, "normalized": <float>}
+          "<section>": {"<rate>": <float>, "normalized": <float>},
+          ...                             # one per METRICS entry
         }, ...
       }
     }
-
-``route_replicas`` is k-replica batch routing
-(:meth:`~repro.hashing.base.DynamicHashTable.route_replicas_batch`
-at the profile's replica count); ``cluster_route`` is the same word
-batch fanned through a sharded
-:class:`~repro.service.cluster.ClusterRouter` at the profile's shard
-count.  ``plan_migration`` is resize epochs closing a full assignment
-diff (tracked keys planned per second) and ``migrate_execute`` is the
-executor's copy/verify/commit loop over a data plane (moved keys per
-second) -- see :mod:`repro.perf.throughput`.  ``control_tick`` is
-steady-state reconciliation ticks of the control plane (health poll +
-utilization decision + no-op fleet diff) per second -- the idle
-overhead a always-on control loop adds.  ``serve_hot`` is Zipf-popular
-reads through the serving tier's synchronous dispatch core
-(:class:`~repro.serve.MicroBatcher` batches through a
-:class:`~repro.serve.HotKeyCache` in front of a stocked data plane) at
-cache steady state -- the end-to-end request rate of the micro-batched
-front-end when its hot-key cache is absorbing the hot set.
-``serve_cold`` is the same batches through a cacheless batcher, so
-every request takes the routed ``get_many`` path -- the front-end's
-floor when nothing is cacheable (and the variant where routing cost
-stays visible).
-``epoch_close`` is membership epochs (one grow, one shrink) closed over
-a million-key tracked population (tracked keys accounted per second) --
-algorithms with delta-scoped score kernels take the
-:class:`~repro.service.migration.DeltaTracker` fast path, the rest pay
-the full tracked-slice re-route.
 
 ``normalized`` is the raw rate divided by the host's calibrated bulk
 XOR+popcount bandwidth (GB/s), so a baseline committed from one machine
@@ -84,11 +45,14 @@ __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_TOLERANCE",
     "METRICS",
+    "Metric",
     "Regression",
     "compare_reports",
     "coverage_drift",
     "format_report",
     "load_report",
+    "report_header",
+    "report_row",
     "save_report",
 ]
 
@@ -98,48 +62,47 @@ SCHEMA_VERSION = 7
 #: Maximum tolerated fractional drop in normalized throughput.
 DEFAULT_TOLERANCE = 0.30
 
-#: Churn floor: churn blocks are microsecond-scale mutation bursts and
-#: scatter ~2x run to run even best-of-N (CPU frequency states), far
-#: more than the array-wide routing sweeps -- the gate tolerates a
-#: wider drop before flagging them.  An explicit ``tolerance`` above
-#: this floor applies too.
+#: Gate floor of the wide tier (:attr:`Metric.wide`): those blocks
+#: scatter ~2x run to run even best-of-N, far more than the array-wide
+#: routing sweeps, so the gate tolerates a wider drop before flagging
+#: them.  An explicit ``tolerance`` above this floor applies too.
 CHURN_TOLERANCE = 0.50
 
-#: Metrics gated at :data:`CHURN_TOLERANCE`: churn itself, plus the
-#: migration metrics, whose blocks embed the same microsecond-scale
-#: membership mutations (``plan_migration``) or per-key Python loops
-#: with clone setup (``migrate_execute``), plus ``control_tick``
-#: (microsecond-scale pure-Python reconciliation passes), plus the
-#: ``serve_hot``/``serve_cold`` pair, whose per-batch Python dispatch
-#: (chunk iteration, cache install, store dict traffic) scatters like
-#: the other interpreter-bound loops, plus ``epoch_close``, whose
-#: blocks embed the same microsecond-scale membership mutations and
-#: per-epoch plan assembly around the array-wide accounting sweep.
-NOISY_METRICS = frozenset(
-    {
-        "churn",
-        "plan_migration",
-        "migrate_execute",
-        "control_tick",
-        "serve_hot",
-        "serve_cold",
-        "epoch_close",
-    }
-)
 
-#: Metric sections every per-algorithm record carries.
+@dataclass(frozen=True)
+class Metric:
+    """One BENCH metric, as the record, the gate and the report name it."""
+
+    #: The metric's name: its section in each per-algorithm record.
+    section: str
+    #: Key of the raw rate in that section, beside ``normalized``.
+    rate: str
+    #: Column heading in :func:`format_report`.
+    column: str
+    #: Gate tier: a wide metric is gated at no less than
+    #: :data:`CHURN_TOLERANCE`.
+    wide: bool
+
+
+#: The metric set, in report order.  The wide tier holds the blocks
+#: built on microsecond-scale membership mutations (``churn``, and the
+#: epochs around ``plan_migration``'s plan assembly and
+#: ``epoch_close``'s accounting sweep), per-key loops with clone setup
+#: (``migrate_execute``), pure-Python reconciliation passes
+#: (``control_tick``) and per-batch Python dispatch (``serve_hot``,
+#: ``serve_cold``).
 METRICS = (
-    "route",
-    "route_replicas",
-    "cluster_route",
-    "lookup",
-    "churn",
-    "plan_migration",
-    "migrate_execute",
-    "control_tick",
-    "serve_hot",
-    "serve_cold",
-    "epoch_close",
+    Metric("route", "keys_per_s", "route k/s", wide=False),
+    Metric("route_replicas", "keys_per_s", "replicas k/s", wide=False),
+    Metric("cluster_route", "keys_per_s", "cluster k/s", wide=False),
+    Metric("lookup", "keys_per_s", "lookup k/s", wide=False),
+    Metric("churn", "events_per_s", "churn ev/s", wide=True),
+    Metric("plan_migration", "keys_per_s", "plan k/s", wide=True),
+    Metric("migrate_execute", "keys_per_s", "migrate k/s", wide=True),
+    Metric("control_tick", "ticks_per_s", "ctl t/s", wide=True),
+    Metric("serve_hot", "requests_per_s", "hot r/s", wide=True),
+    Metric("serve_cold", "requests_per_s", "cold r/s", wide=True),
+    Metric("epoch_close", "keys_per_s", "close k/s", wide=True),
 )
 
 
@@ -205,10 +168,10 @@ def compare_reports(
     """Regressions of ``current`` against ``baseline``.
 
     Compares normalized scores per algorithm and metric; a regression is
-    a score strictly below ``baseline * (1 - tolerance)``
-    (:data:`NOISY_METRICS` use at least :data:`CHURN_TOLERANCE`, see
-    there).  Profiles must match -- comparing a ``fast`` run against a
-    ``bench`` baseline would compare different workloads.
+    a score strictly below ``baseline * (1 - tolerance)`` (wide-tier
+    metrics use at least :data:`CHURN_TOLERANCE`, see there).  Profiles
+    must match -- comparing a ``fast`` run against a ``bench`` baseline
+    would compare different workloads.
     """
     if not 0 <= tolerance < 1:
         raise ValueError("tolerance must be in [0, 1)")
@@ -223,18 +186,14 @@ def compare_reports(
         if name not in current["algorithms"]:
             continue
         for metric in METRICS:
-            allowed = (
-                max(tolerance, CHURN_TOLERANCE)
-                if metric in NOISY_METRICS
-                else tolerance
-            )
-            before = float(baseline["algorithms"][name][metric]["normalized"])
-            after = float(current["algorithms"][name][metric]["normalized"])
+            allowed = max(tolerance, CHURN_TOLERANCE) if metric.wide else tolerance
+            before = float(baseline["algorithms"][name][metric.section]["normalized"])
+            after = float(current["algorithms"][name][metric.section]["normalized"])
             if after < before * (1.0 - allowed):
                 regressions.append(
                     Regression(
                         algorithm=name,
-                        metric=metric,
+                        metric=metric.section,
                         baseline=before,
                         current=after,
                     )
@@ -250,40 +209,22 @@ def format_report(report: Dict[str, Any]) -> str:
             report.get("profile"),
             report.get("calibration", {}).get("xor_popcount_gbps", 0.0),
         ),
-        "{:<22} {:>13} {:>13} {:>13} {:>13} {:>11} {:>12} {:>12} "
-        "{:>10} {:>12} {:>12} {:>13}".format(
-            "algorithm",
-            "route k/s",
-            "replicas k/s",
-            "cluster k/s",
-            "lookup k/s",
-            "churn ev/s",
-            "plan k/s",
-            "migrate k/s",
-            "ctl t/s",
-            "hot r/s",
-            "cold r/s",
-            "close k/s",
-        ),
+        report_header(),
     ]
     for name in sorted(report["algorithms"]):
-        record = report["algorithms"][name]
-        lines.append(
-            "{:<22} {:>13,.0f} {:>13,.0f} {:>13,.0f} {:>13,.0f} "
-            "{:>11,.0f} {:>12,.0f} {:>12,.0f} {:>10,.0f} {:>12,.0f} "
-            "{:>12,.0f} {:>13,.0f}".format(
-                name,
-                record["route"]["keys_per_s"],
-                record["route_replicas"]["keys_per_s"],
-                record["cluster_route"]["keys_per_s"],
-                record["lookup"]["keys_per_s"],
-                record["churn"]["events_per_s"],
-                record["plan_migration"]["keys_per_s"],
-                record["migrate_execute"]["keys_per_s"],
-                record["control_tick"]["ticks_per_s"],
-                record["serve_hot"]["requests_per_s"],
-                record["serve_cold"]["requests_per_s"],
-                record["epoch_close"]["keys_per_s"],
-            )
-        )
+        lines.append(report_row(name, report["algorithms"][name]))
     return "\n".join(lines)
+
+
+def report_header() -> str:
+    """The column headings of the :func:`format_report` table."""
+    return "{:<22}".format("algorithm") + "".join(
+        " {:>13}".format(metric.column) for metric in METRICS
+    )
+
+
+def report_row(name: str, record: Dict[str, Any]) -> str:
+    """One algorithm's raw rates, under :func:`report_header`."""
+    return "{:<22}".format(name) + "".join(
+        " {:>13,.0f}".format(record[metric.section][metric.rate]) for metric in METRICS
+    )

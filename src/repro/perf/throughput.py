@@ -60,11 +60,11 @@ the profile's pool size:
     membership epochs (one grow, then one shrink, of a spare server)
     closed by a router tracking the profile's ``epoch_close_keys``
     probe population -- one million keys at every scale; the rate is
-    tracked keys accounted per second.  Algorithms with delta-scoped
-    score kernels take the
-    :class:`~repro.service.migration.DeltaTracker` fast path (join
-    epochs are one score-column sweep, leave epochs re-route only the
-    departing servers' keys); the rest pay the full tracked-slice
+    tracked keys accounted per second.  Algorithms with a scoped close
+    take the :class:`~repro.service.migration.DeltaTracker` fast path
+    (HD diffs its position owners; the delta-score kernels make a join
+    epoch one score-column sweep and a leave epoch a re-route of only
+    the departing servers' keys); the rest pay the full tracked-slice
     re-route, which is the gap this metric exists to expose.
 
 Every metric is timed ``repeats`` times and the best run is kept (the
@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import platform
 import time
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,7 +101,7 @@ from ..service.cluster import ClusterRouter
 from ..service.migration import MigrationExecutor
 from ..service.router import Router
 from ..store import DataPlane
-from .baseline import SCHEMA_VERSION
+from .baseline import METRICS, SCHEMA_VERSION, report_header, report_row
 from .profiles import PerfProfile, perf_profile
 
 __all__ = ["calibrate", "measure_algorithm", "run_suite"]
@@ -175,7 +175,7 @@ def measure_algorithm(
     seed: int = 0,
     calibration_gbps: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Measure one algorithm's route/lookup/churn throughput.
+    """Measure one algorithm's throughput on every metric.
 
     Returns the per-algorithm record that ``run_suite`` embeds in the
     report: raw rates, normalized scores, and the table config used.
@@ -194,10 +194,19 @@ def measure_algorithm(
     words = rng.integers(0, 2**64, profile.batch_words, dtype=np.uint64)
     keys = rng.integers(0, 2**63, profile.batch_words, dtype=np.int64)
 
-    route_seconds = _best_seconds(lambda: table.route_batch(words), profile.repeats)
+    # Each timed block's ``(count, seconds)``, under its metric's
+    # section; a block that forgets to record fails the record loop.
+    timed: Dict[str, Tuple[int, float]] = {}
+
+    def time_block(section, count, block, repeats=profile.repeats, reset=None):
+        timed[section] = (count, _best_seconds(block, repeats, reset=reset))
+
+    time_block("route", profile.batch_words, lambda: table.route_batch(words))
     replica_k = min(profile.replica_k, profile.servers)
-    replicas_seconds = _best_seconds(
-        lambda: table.route_replicas_batch(words, replica_k), profile.repeats
+    time_block(
+        "route_replicas",
+        profile.batch_words,
+        lambda: table.route_replicas_batch(words, replica_k),
     )
     cluster = ClusterRouter(
         {"algorithm": name, "config": config},
@@ -205,10 +214,8 @@ def measure_algorithm(
         seed=seed,
     )
     cluster.sync(server_ids)
-    cluster_seconds = _best_seconds(
-        lambda: cluster.route_words(words), profile.repeats
-    )
-    lookup_seconds = _best_seconds(lambda: table.lookup_batch(keys), profile.repeats)
+    time_block("cluster_route", profile.batch_words, lambda: cluster.route_words(words))
+    time_block("lookup", profile.batch_words, lambda: table.lookup_batch(keys))
 
     # Churn: retire the oldest server, admit a fresh one, repeatedly.
     # Fresh identifiers per cycle keep placement realistic (no cached
@@ -230,8 +237,7 @@ def measure_algorithm(
             next_id += 1
             table.route_batch(churn_probe)
 
-    churn_seconds = _best_seconds(churn_block, profile.repeats)
-    churn_events = 2 * profile.churn_cycles
+    time_block("churn", 2 * profile.churn_cycles, churn_block)
 
     # Migration data plane: a dedicated tracked router (the churn
     # metric above keeps mutating `table`, so it cannot be reused).
@@ -250,7 +256,7 @@ def measure_algorithm(
         migration_router.sync(fleet + [spare])
         migration_router.sync(fleet)
 
-    plan_seconds = _best_seconds(plan_block, profile.repeats)
+    time_block("plan_migration", 2 * tracked, plan_block)
 
     grow = migration_router.sync(fleet + [spare])
     plan = grow.plan
@@ -271,12 +277,10 @@ def measure_algorithm(
     # measures peak engine speed; the unthrottled single tick does the
     # same (the throttle is a pacing feature, not engine work).
     migrate_plane = plane.clone()
-    migrate_tick = max(1, plan.total_keys)
+    moved = max(1, plan.total_keys)
 
     def migrate_block():
-        executor = MigrationExecutor(
-            plan, migrate_plane, max_keys_per_tick=migrate_tick
-        )
+        executor = MigrationExecutor(plan, migrate_plane, max_keys_per_tick=moved)
         executor.run()
 
     def migrate_reset():
@@ -287,17 +291,15 @@ def measure_algorithm(
             destination.delete_many(batch.keys)
             source.put_many(batch.keys, values)
 
-    migrate_seconds = _best_seconds(
-        migrate_block, profile.repeats, reset=migrate_reset
-    )
+    time_block("migrate_execute", moved, migrate_block, reset=migrate_reset)
 
     # Epoch close at scale: the same grow+shrink epoch pair as
     # ``plan_migration``, but over a million-key tracked population on
     # a dedicated router with no data plane -- the metric prices the
     # tracker's per-epoch assignment accounting, not storage.  Delta-
-    # scoped algorithms close each epoch from cached winning scores;
-    # the rest re-route the full tracked slice, so the spread between
-    # algorithms here is the delta-kernel payoff.
+    # close algorithms close each epoch from cached winning scores or
+    # position owners; the rest re-route the full tracked slice, so the
+    # spread between algorithms here is the scoped close's payoff.
     epoch_router = Router(make_table(name, seed=seed, **config))
     epoch_router.sync(fleet)
     epoch_spare = _SERVER_FMT.format(profile.servers + 3_000_000)
@@ -312,7 +314,12 @@ def measure_algorithm(
     # algorithms (multiprobe's probe cascade most of all), and bulk
     # sweeps don't scatter like the microsecond-scale mutation blocks
     # the higher repeat counts exist to stabilize.
-    epoch_close_seconds = _best_seconds(epoch_close_block, min(profile.repeats, 3))
+    time_block(
+        "epoch_close",
+        2 * profile.epoch_close_keys,
+        epoch_close_block,
+        repeats=min(profile.repeats, 3),
+    )
 
     # Control plane: a healthy fleet sitting inside its utilization
     # band -- each tick pays the full reconciliation pass (heartbeat
@@ -342,7 +349,7 @@ def measure_algorithm(
         for __ in range(profile.control_ticks):
             control_loop.tick()
 
-    control_seconds = _best_seconds(control_block, profile.repeats)
+    time_block("control_tick", profile.control_ticks, control_block)
 
     # Serving tier: Zipf-popular reads dispatched in micro-batches over
     # the stocked control plane (its ticks above were no-ops, so
@@ -372,7 +379,7 @@ def measure_algorithm(
         for chunk in serve_chunks:
             hot_batcher.serve_gets(chunk)
 
-    serve_hot_seconds = _best_seconds(serve_hot_block, profile.repeats)
+    time_block("serve_hot", profile.serve_requests, serve_hot_block)
 
     cold_batcher = MicroBatcher(
         control_plane, cache=None, max_batch=profile.serve_batch
@@ -382,68 +389,21 @@ def measure_algorithm(
         for chunk in serve_chunks:
             cold_batcher.serve_gets(chunk)
 
-    serve_cold_seconds = _best_seconds(serve_cold_block, profile.repeats)
+    time_block("serve_cold", profile.serve_requests, serve_cold_block)
 
-    route_rate = profile.batch_words / route_seconds
-    replicas_rate = profile.batch_words / replicas_seconds
-    cluster_rate = profile.batch_words / cluster_seconds
-    lookup_rate = profile.batch_words / lookup_seconds
-    churn_rate = churn_events / churn_seconds
-    plan_rate = 2 * tracked / plan_seconds
-    migrate_rate = max(1, plan.total_keys) / migrate_seconds
-    control_rate = profile.control_ticks / control_seconds
-    serve_hot_rate = profile.serve_requests / serve_hot_seconds
-    serve_cold_rate = profile.serve_requests / serve_cold_seconds
-    epoch_close_rate = 2 * profile.epoch_close_keys / epoch_close_seconds
-    return {
+    record: Dict[str, Any] = {
         "servers": profile.servers,
         "batch_words": profile.batch_words,
         "config": config,
-        "route": {
-            "keys_per_s": route_rate,
-            "normalized": _normalized(route_rate, calibration_gbps),
-        },
-        "route_replicas": {
-            "keys_per_s": replicas_rate,
-            "normalized": _normalized(replicas_rate, calibration_gbps),
-        },
-        "cluster_route": {
-            "keys_per_s": cluster_rate,
-            "normalized": _normalized(cluster_rate, calibration_gbps),
-        },
-        "lookup": {
-            "keys_per_s": lookup_rate,
-            "normalized": _normalized(lookup_rate, calibration_gbps),
-        },
-        "churn": {
-            "events_per_s": churn_rate,
-            "normalized": _normalized(churn_rate, calibration_gbps),
-        },
-        "plan_migration": {
-            "keys_per_s": plan_rate,
-            "normalized": _normalized(plan_rate, calibration_gbps),
-        },
-        "migrate_execute": {
-            "keys_per_s": migrate_rate,
-            "normalized": _normalized(migrate_rate, calibration_gbps),
-        },
-        "control_tick": {
-            "ticks_per_s": control_rate,
-            "normalized": _normalized(control_rate, calibration_gbps),
-        },
-        "serve_hot": {
-            "requests_per_s": serve_hot_rate,
-            "normalized": _normalized(serve_hot_rate, calibration_gbps),
-        },
-        "serve_cold": {
-            "requests_per_s": serve_cold_rate,
-            "normalized": _normalized(serve_cold_rate, calibration_gbps),
-        },
-        "epoch_close": {
-            "keys_per_s": epoch_close_rate,
-            "normalized": _normalized(epoch_close_rate, calibration_gbps),
-        },
     }
+    for metric in METRICS:
+        count, seconds = timed[metric.section]
+        rate = count / seconds
+        record[metric.section] = {
+            metric.rate: rate,
+            "normalized": _normalized(rate, calibration_gbps),
+        }
+    return record
 
 
 def run_suite(
@@ -455,8 +415,9 @@ def run_suite(
     """Run the throughput suite; returns the ``BENCH_throughput`` report.
 
     ``algorithms`` defaults to every registered algorithm.  ``progress``
-    (when given) receives one line per measured algorithm -- the CLI
-    plugs its printer in.
+    (when given) receives the report table as it is measured: its
+    column header, then one row per algorithm -- the CLI plugs its
+    printer in.
     """
     if isinstance(profile, str):
         profile = perf_profile(profile)
@@ -474,19 +435,13 @@ def run_suite(
         "calibration": {"xor_popcount_gbps": calibration_gbps},
         "algorithms": {},
     }
+    if progress is not None:
+        progress(report_header())
     for name in names:
         record = measure_algorithm(
             name, profile, seed=seed, calibration_gbps=calibration_gbps
         )
         report["algorithms"][name] = record
         if progress is not None:
-            progress(
-                "{:<22} route {:>12,.0f} keys/s   lookup {:>12,.0f} keys/s   "
-                "churn {:>9,.0f} ev/s".format(
-                    name,
-                    record["route"]["keys_per_s"],
-                    record["lookup"]["keys_per_s"],
-                    record["churn"]["events_per_s"],
-                )
-            )
+            progress(report_row(name, record))
     return report

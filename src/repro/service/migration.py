@@ -107,7 +107,8 @@ class DeltaTracker:
       owners the table routes by now, so it stays exact after memory
       faults;
     * *delta-scoped*, on epochs that name their membership events
-      (``close(joined=..., left=...)``) over algorithms exposing the
+      (``close(joined=..., left=...)``) over the other algorithms
+      exposing the
       :meth:`~repro.hashing.base.DynamicHashTable._delta_scores`
       kernel: the tracker caches every key's winning score, prices a
       join as one score-column sweep (the joiner's challenge against
@@ -166,9 +167,10 @@ class DeltaTracker:
         self._refresh_baselines()
 
     def _refresh_baselines(self) -> None:
-        """Re-capture the winning scores and position owners behind the
-        current assignment (``None`` disarms a scoped path until the
-        next full recompute refreshes it)."""
+        """Re-capture the position owners (position-routed tables) or the
+        winning scores (the rest) behind the current assignment
+        (``None`` disarms a scoped path until the next full recompute
+        refreshes it)."""
         if (
             self._table is None
             or self._words is None
@@ -177,8 +179,9 @@ class DeltaTracker:
             self._scores = None
             self._owners = None
             return
-        self._scores = self._table._delta_scores(self._words)
-        if self._by_position is not None:
+        if self._by_position is None:
+            self._scores = self._table._delta_scores(self._words)
+        else:
             self._owners = self._table._position_owners()
             self._owner_ids = self._table.server_ids
 
@@ -262,8 +265,6 @@ class DeltaTracker:
         destinations = np.asarray(ids, dtype=object)[owners[moved_positions]]
         sources = self._assignment[moved]
         self._assignment[moved] = destinations
-        if self._scores is not None:
-            self._scores[moved] = table._delta_scores(self._words[moved])
         self._owners = owners
         self._owner_ids = ids
         return EpochDelta(

@@ -112,7 +112,6 @@ class TestBatchDedup:
 
         queried.clear()
         table.route_batch(words)
-        table._delta_scores(words)
         expected = {word: table.route_word(int(word)) for word in (5, 7, 9)}
         assert queried == []  # warm memo: gathers only
         assert routed.tolist() == [expected[int(w)] for w in words]
@@ -154,10 +153,6 @@ class TestCodebookHandling:
         table = HDHashTable(seed=1, codebook=basis, require_circular=False)
         populate(table, 4)
         assert table.lookup("k") in table.server_ids
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            _table(batch_size=0)
 
 
 class TestMinimalDisruption:

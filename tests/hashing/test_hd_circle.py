@@ -188,15 +188,17 @@ class TestTableFill:
         assert_table_exact(table)
 
     def test_challenge_column_after_codebook_corruption(self):
+        # A join settles the memo, then reads its row's column over
+        # every position: the column must see the corrupted codebook.
         rng = np.random.default_rng(10)
         table = circle_table(expose_codebook=True)
         table._position_owners()
         FaultInjector(table.memory_regions()[1:]).inject(BurstError(length=500), rng)
-        words = np.arange(CODEBOOK, dtype=np.uint64)
         distances, __, __ = reference(
             table._codebook_packed, table.item_memory.memory_view()
         )
-        assert np.array_equal(table._delta_challenge("srv-03", words), -distances[3])
+        table._memo()
+        assert np.array_equal(table._column(3), distances[3])
 
     def test_level_codebook(self):
         rng = np.random.default_rng(7)

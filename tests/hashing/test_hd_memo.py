@@ -6,8 +6,8 @@ position.  The memo is kept current incrementally (join columns, leave
 re-queries, repairs after memory changes), so these oracles drive
 seeded random schedules of every way the table's state can change and,
 after every step, compare each routing surface -- ``route_batch``,
-``route_word``, ``_delta_scores``, ``infer_batch``, the position
-owners and every memo entry -- with a brute-force sweep over the live
+``route_word``, ``infer_batch``, the position owners and every memo
+entry, slots and distances -- with a brute-force sweep over the live
 memory, on a small circle that sweeps and on one large enough for
 join columns and cold fills to walk the codebook's differences.
 """
@@ -52,7 +52,6 @@ def assert_memo_exact(table, words):
     assert [table.route_word(int(word)) for word in words[:32]] == (
         slots[:32].tolist()
     )
-    assert np.array_equal(table._delta_scores(words), -distances)
     inferred_slots, inferred_distances = table.infer_batch(words)
     assert np.array_equal(inferred_slots, slots)
     assert np.array_equal(inferred_distances, distances)

@@ -105,20 +105,23 @@ class TestCapabilityFlags:
         }
 
     def test_delta_close_flags_match_kernel_behaviour(self):
-        # The flag is only a promise that the kernel *exists*; check it
-        # against live tables -- flagged algorithms return a score per
-        # word (modulo config gates), unflagged ones return None.
+        # The flag is only a promise that a fast path *exists*; check it
+        # against live tables -- flagged algorithms return a score or a
+        # routing position per word (modulo config gates), unflagged
+        # ones return neither.
         words = np.arange(64, dtype=np.uint64)
         for name in registered_algorithms():
             table = build(name)
             for index in range(4):
                 table.join("srv-{}".format(index))
-            scores = table._delta_scores(words)
+            fast = table._delta_scores(words)
+            if fast is None:
+                fast = table._route_positions(words)
             if "delta-close" not in algorithm_entry(name).capabilities:
-                assert scores is None, name
+                assert fast is None, name
             else:
-                assert scores is not None, name
-                assert scores.shape == words.shape, name
+                assert fast is not None, name
+                assert fast.shape == words.shape, name
 
 
 @pytest.mark.parametrize("name", [
@@ -165,10 +168,11 @@ class TestSpecsAndErrors:
         assert table.replicas == 5
 
     def test_config_values_reach_constructor(self):
-        table = make_table("hd", dim=512, codebook_size=64, batch_size=32)
+        table = make_table("hd", dim=512, codebook_size=64, expose_codebook=True)
         assert table.dim == 512
         assert table.codebook_size == 64
-        assert table.batch_size == 32
+        regions = [region.name for region in table.memory_regions()]
+        assert regions == ["item_memory", "codebook"]
 
     def test_hierarchical_spec_composition(self):
         table = make_table(

@@ -7,6 +7,7 @@ the measured suite lives in ``benchmarks/perf``.
 from __future__ import annotations
 
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -20,48 +21,17 @@ from repro.perf import (
 from repro.perf.baseline import METRICS, Regression, coverage_drift
 from repro.perf.profiles import PERF_PROFILES, perf_profile
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
 
 def _record(scale: float) -> dict:
-    return {
-        "servers": 16,
-        "batch_words": 8_192,
-        "config": {},
-        "route": {"keys_per_s": 1e7 * scale, "normalized": 2.0 * scale},
-        "route_replicas": {
-            "keys_per_s": 4e6 * scale,
-            "normalized": 0.8 * scale,
-        },
-        "cluster_route": {
-            "keys_per_s": 6e6 * scale,
-            "normalized": 1.2 * scale,
-        },
-        "lookup": {"keys_per_s": 8e6 * scale, "normalized": 1.6 * scale},
-        "churn": {"events_per_s": 1e5 * scale, "normalized": 0.02 * scale},
-        "plan_migration": {
-            "keys_per_s": 3e6 * scale,
-            "normalized": 0.6 * scale,
-        },
-        "migrate_execute": {
-            "keys_per_s": 2e5 * scale,
-            "normalized": 0.04 * scale,
-        },
-        "control_tick": {
-            "ticks_per_s": 5e3 * scale,
-            "normalized": 0.001 * scale,
-        },
-        "serve_hot": {
-            "requests_per_s": 9e6 * scale,
-            "normalized": 2.7 * scale,
-        },
-        "serve_cold": {
-            "requests_per_s": 4e6 * scale,
-            "normalized": 1.2 * scale,
-        },
-        "epoch_close": {
-            "keys_per_s": 5e7 * scale,
-            "normalized": 10.0 * scale,
-        },
-    }
+    record = {"servers": 16, "batch_words": 8_192, "config": {}}
+    for rank, metric in enumerate(METRICS, start=1):
+        record[metric.section] = {
+            metric.rate: 1e6 * rank * scale,
+            "normalized": 0.2 * rank * scale,
+        }
+    return record
 
 
 def _report(**scales) -> dict:
@@ -110,24 +80,43 @@ class TestRegressionGate:
         current["algorithms"]["hd"] = _record(0.4)  # -60 % on all metrics
         regressions = compare_reports(current, baseline, tolerance=0.30)
         assert {(r.algorithm, r.metric) for r in regressions} == {
-            ("hd", metric) for metric in METRICS
+            ("hd", metric.section) for metric in METRICS
         }
         for regression in regressions:
             assert regression.ratio == pytest.approx(0.4)
             assert "hd/" in regression.describe()
 
-    def test_churn_gets_a_wider_tolerance(self):
-        # Churn blocks scatter ~2x run to run; a -45 % churn drop is
+    @pytest.mark.parametrize(
+        "metric",
+        [metric for metric in METRICS if metric.wide],
+        ids=lambda metric: metric.section,
+    )
+    def test_wide_tier_gets_a_wider_tolerance(self, metric):
+        # Wide-tier blocks scatter ~2x run to run; a -45 % drop is
         # noise (within CHURN_TOLERANCE), -55 % is a regression.
         baseline = _report(hd=1.0)
         noisy = copy.deepcopy(baseline)
-        noisy["algorithms"]["hd"]["churn"]["normalized"] *= 0.55
+        noisy["algorithms"]["hd"][metric.section]["normalized"] *= 0.55
         assert compare_reports(noisy, baseline, tolerance=0.30) == []
         broken = copy.deepcopy(baseline)
-        broken["algorithms"]["hd"]["churn"]["normalized"] *= 0.45
+        broken["algorithms"]["hd"][metric.section]["normalized"] *= 0.45
         regressions = compare_reports(broken, baseline, tolerance=0.30)
         assert [(r.algorithm, r.metric) for r in regressions] == [
-            ("hd", "churn")
+            ("hd", metric.section)
+        ]
+
+    @pytest.mark.parametrize(
+        "metric",
+        [metric for metric in METRICS if not metric.wide],
+        ids=lambda metric: metric.section,
+    )
+    def test_other_metrics_get_the_given_tolerance(self, metric):
+        baseline = _report(hd=1.0)
+        current = copy.deepcopy(baseline)
+        current["algorithms"]["hd"][metric.section]["normalized"] *= 0.65
+        regressions = compare_reports(current, baseline, tolerance=0.30)
+        assert [(r.algorithm, r.metric) for r in regressions] == [
+            ("hd", metric.section)
         ]
 
     def test_drop_within_tolerance_passes(self):
@@ -165,6 +154,17 @@ class TestRegressionGate:
         assert regression.ratio == float("inf")
 
 
+class TestMetricTable:
+    def test_committed_baseline_has_exactly_the_table(self):
+        baseline = load_report(str(REPO_ROOT / "BENCH_throughput.json"))
+        for name, record in baseline["algorithms"].items():
+            sections = set(record) - {"servers", "batch_words", "config"}
+            assert sections == {metric.section for metric in METRICS}, name
+            for metric in METRICS:
+                keys = set(record[metric.section])
+                assert keys == {metric.rate, "normalized"}, (name, metric)
+
+
 class TestProfilesAndFormatting:
     def test_profiles_scale_monotonically(self):
         fast, bench, full = (
@@ -187,5 +187,11 @@ class TestProfilesAndFormatting:
 
     def test_format_report_mentions_rates(self):
         text = format_report(_report(hd=1.0))
-        assert "hd" in text
-        assert "route" in text
+        header, row = text.splitlines()[1:]
+        assert header.split()[0] == "algorithm"
+        for metric in METRICS:
+            assert metric.column in header
+        assert row.split() == ["hd"] + [
+            "{:,.0f}".format(_record(1.0)[metric.section][metric.rate])
+            for metric in METRICS
+        ]

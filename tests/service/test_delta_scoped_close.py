@@ -95,7 +95,8 @@ class TestScopedCloseExactness:
         table = light_table(name)
         fill(table)
         fast, full = tracker_pair(table)
-        assert fast._scores is not None  # the fast path is armed
+        # The fast path is armed: position owners or winning scores.
+        assert fast._owners is not None or fast._scores is not None
         table.join("newcomer")
         fast_delta = fast.close(joined=["newcomer"])
         full_delta = full.close(joined=["newcomer"])
@@ -310,6 +311,22 @@ class TestPositionGroupedClose:
                 moved_by_faults += fast_delta.moved
         assert calls == []  # every close diffed position owners
         assert moved_by_faults > 0  # the faults did move keys
+
+    def test_tracker_keeps_owners_not_scores(self):
+        # Position owners are the whole baseline: no score array is
+        # computed at track() or refreshed by a close.
+        table = light_table("hd")
+        ids = fill(table)
+        fast, full = tracker_pair(table)
+        assert fast._owners is not None
+        assert fast._scores is None
+        table.join("newcomer")
+        assert_deltas_identical(
+            fast.close(joined=["newcomer"]), full.close(joined=["newcomer"])
+        )
+        table.leave(ids[0])
+        assert_deltas_identical(fast.close(), full.close())
+        assert fast._scores is None
 
     def test_restore_behind_the_table_is_exact(self):
         # Put the clean memory back after a burst, as the serving

@@ -146,6 +146,22 @@ class TestHDCodebookModes:
         assert len(dumps_state(state)) < 20_000
 
 
+class TestHDOlderSnapshots:
+    def test_batch_size_in_config_restores_bit_identically(self):
+        # HD's config once carried a ``batch_size`` that no kernel read;
+        # snapshots written then still restore, and route the same.
+        table = churn(build("hd"))
+        state = table.state_dict()
+        state["config"]["batch_size"] = 256
+        restored = HDHashTable.from_state(loads_state(dumps_state(state)))
+        assert restored.server_ids == table.server_ids
+        assert np.array_equal(
+            restored.item_memory.memory_view(), table.item_memory.memory_view()
+        )
+        assert np.array_equal(restored.lookup_batch(PROBE), table.lookup_batch(PROBE))
+        assert "batch_size" not in restored.state_dict()["config"]
+
+
 class TestFilePersistence:
     def test_save_and_load_table(self, tmp_path):
         table = churn(build("maglev"))
