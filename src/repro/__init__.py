@@ -57,9 +57,6 @@ from .hdc import (
     similarity_matrix,
 )
 from .hashing import (
-    ALL_ALGORITHMS,
-    PAPER_ALGORITHMS,
-    BoundedLoadConsistentHashTable,
     ConsistentHashTable,
     DynamicHashTable,
     HDHashTable,
@@ -107,7 +104,6 @@ from .memory import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALL_ALGORITHMS",
     "Autoscaler",
     "ControlLoop",
     "FleetState",
@@ -116,10 +112,8 @@ __all__ = [
     "ServerSpec",
     "UtilizationPolicy",
     "VirtualWeightTable",
-    "PAPER_ALGORITHMS",
     "BasisSet",
     "BitErrorRate",
-    "BoundedLoadConsistentHashTable",
     "BurstError",
     "CapacityError",
     "CodebookEncoder",

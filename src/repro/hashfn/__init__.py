@@ -4,17 +4,14 @@ The paper treats ``h(.)`` as an ideal hash function; this package provides
 concrete, deterministic realisations:
 
 * :mod:`repro.hashfn.mixers` -- 64-bit avalanche mixers (SplitMix64,
-  MurmurHash3 fmix64, xorshift*), scalar and vectorized.
-* :mod:`repro.hashfn.fnv` -- FNV-1a for byte strings.
-* :mod:`repro.hashfn.xxh` -- pure-Python XXH64.
+  MurmurHash3's fmix64 finalizer), scalar and vectorized.
+* :mod:`repro.hashfn.xxh` -- pure-Python XXH64 for string and byte keys.
 * :mod:`repro.hashfn.keys` -- canonical key -> 64-bit-word conversion.
 * :mod:`repro.hashfn.family` -- seeded families with derivation.
 """
 
 from .family import HashFamily
-from .fnv import fnv1a_32, fnv1a_64
-from .keys import Key, key_to_word, keys_to_words, word_for_server
-from .murmur import murmur3_64, murmur3_x64_128
+from .keys import Key, key_to_word, keys_to_words
 from .mixers import (
     GOLDEN_GAMMA,
     MASK64,
@@ -27,8 +24,6 @@ from .mixers import (
     rotl64_vec,
     splitmix64,
     splitmix64_vec,
-    xorshift_star,
-    xorshift_star_vec,
 )
 from .xxh import xxh64
 
@@ -37,8 +32,6 @@ __all__ = [
     "Key",
     "GOLDEN_GAMMA",
     "MASK64",
-    "fnv1a_32",
-    "fnv1a_64",
     "fmix64",
     "fmix64_inplace",
     "fmix64_vec",
@@ -46,14 +39,9 @@ __all__ = [
     "keys_to_words",
     "mix_pair",
     "mix_pair_vec",
-    "murmur3_64",
-    "murmur3_x64_128",
     "rotl64",
     "rotl64_vec",
     "splitmix64",
     "splitmix64_vec",
-    "word_for_server",
-    "xorshift_star",
-    "xorshift_star_vec",
     "xxh64",
 ]

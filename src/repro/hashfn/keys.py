@@ -18,7 +18,6 @@ from typing import Union
 
 import numpy as np
 
-from .fnv import fnv1a_64
 from .mixers import MASK64, splitmix64, splitmix64_vec
 from .xxh import xxh64
 
@@ -68,19 +67,3 @@ def keys_to_words(keys, seed: int = 0) -> np.ndarray:
         )
     words = array.astype(np.uint64, copy=False)
     return splitmix64_vec(words ^ np.uint64(splitmix64(seed)))
-
-
-def word_for_server(server_id: Key, seed: int = 0) -> int:
-    """Hash a server identifier to its canonical 64-bit word.
-
-    Separated from :func:`key_to_word` only by an extra domain-separation
-    constant so that a server named ``"a"`` and a request key ``"a"`` do
-    not collide by construction.
-    """
-    return key_to_word(key_to_word(server_id, seed=seed) ^ 0xA5A5_A5A5_A5A5_A5A5,
-                       seed=seed)
-
-
-# fnv1a_64 is re-exported here because examples use it for readable,
-# dependency-free demo hashing of short labels.
-_ = fnv1a_64

@@ -2,14 +2,13 @@
 
 These are the work-horses behind every hashing algorithm in this
 reproduction.  The paper's ``h(.)`` is an abstract uniform hash function;
-we realise it with well-known 64-bit finalizers:
+we realise it with two well-known 64-bit finalizers:
 
 * :func:`splitmix64` -- the SplitMix64 output function (Steele et al.),
-  used as the default mixer for integer keys.
-* :func:`fmix64` -- the MurmurHash3 64-bit finalizer (Appleby), used when
-  an independent second mixer is needed (e.g. pairwise hashes).
-* :func:`xorshift_star` -- Marsaglia xorshift* generator step, kept as a
-  third independent family member for ablations.
+  the mixer for integer keys and hash-family seeds.
+* :func:`fmix64` -- the MurmurHash3 64-bit finalizer (Appleby), the
+  independent second mixer behind pairwise hashes (:func:`mix_pair`) and
+  family derivation.
 
 Every function comes in two flavours with identical semantics:
 
@@ -37,8 +36,6 @@ __all__ = [
     "fmix64",
     "fmix64_vec",
     "fmix64_inplace",
-    "xorshift_star",
-    "xorshift_star_vec",
     "mix_pair",
     "mix_pair_vec",
 ]
@@ -55,8 +52,6 @@ _SPLITMIX_MUL_2 = 0x94D0_49BB_1331_11EB
 
 _FMIX_MUL_1 = 0xFF51_AFD7_ED55_8CCD
 _FMIX_MUL_2 = 0xC4CE_B9FE_1A85_EC53
-
-_XORSHIFT_MUL = 0x2545_F491_4F6C_DD1D
 
 
 def rotl64(value: int, count: int) -> int:
@@ -133,26 +128,6 @@ def fmix64_inplace(values: np.ndarray) -> np.ndarray:
     k *= np.uint64(_FMIX_MUL_2)
     k ^= k >> np.uint64(33)
     return k
-
-
-def xorshift_star(value: int) -> int:
-    """Marsaglia's xorshift64* step (state must be non-zero to avoid the
-    fixed point at zero; we fold in the golden gamma to sidestep it)."""
-    x = (value ^ GOLDEN_GAMMA) & MASK64
-    x ^= x >> 12
-    x &= MASK64
-    x ^= (x << 25) & MASK64
-    x ^= x >> 27
-    return (x * _XORSHIFT_MUL) & MASK64
-
-
-def xorshift_star_vec(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`xorshift_star` over a ``uint64`` array."""
-    x = np.asarray(values, dtype=np.uint64) ^ np.uint64(GOLDEN_GAMMA)
-    x = x ^ (x >> np.uint64(12))
-    x = x ^ (x << np.uint64(25))
-    x = x ^ (x >> np.uint64(27))
-    return x * np.uint64(_XORSHIFT_MUL)
 
 
 def mix_pair(a: int, b: int) -> int:

@@ -1,17 +1,19 @@
 """Dynamic hash tables: the paper's comparands and extension baselines.
 
-===================  =============================================  ========
-Algorithm            Lookup                                          Section
-===================  =============================================  ========
-modular              O(1) ``h(r) mod k``                             1
-consistent           O(log k) ring binary search                     2.1
-rendezvous           O(k) highest-random-weight                      2.2
-hd                   HDC inference over circular-hypervectors        3
-jump                 O(log k) stateless jump hash                    ext.
-maglev               O(1) prime lookup table                         ext.
-bounded-consistent   consistent hashing with bounded loads           ext.
-weighted-rendezvous  HRW with capacity weights                       ext.
-===================  =============================================  ========
+=====================  ==============================================  =======
+Algorithm              Lookup                                          Section
+=====================  ==============================================  =======
+modular                O(1) ``h(r) mod k``                             1
+consistent             O(log k) ring binary search                     2.1
+rendezvous             O(k) highest-random-weight                      2.2
+hd                     HDC inference over circular-hypervectors        3
+jump                   O(log k) stateless jump hash                    ext.
+maglev                 O(1) prime lookup table                         ext.
+weighted-rendezvous    HRW with capacity weights                       ext.
+multiprobe-consistent  O(probes log k), one ring entry per server      ext.
+hierarchical           outer table picks a group, inner a server       ext.
+weighted               any table over weighted virtual members         ext.
+=====================  ==============================================  =======
 
 All implement :class:`repro.hashing.base.DynamicHashTable`.
 """
@@ -26,7 +28,6 @@ from .registry import (
     registered_algorithms,
     table_class,
 )
-from .bounded import BoundedConfig, BoundedLoadConsistentHashTable
 from .consistent import ConsistentConfig, ConsistentHashTable
 from .hd import HDConfig, HDHashTable
 from .hierarchical import HierarchicalConfig, HierarchicalHashTable
@@ -37,32 +38,9 @@ from .multiprobe import MultiProbeConfig, MultiProbeConsistentHashTable
 from .rendezvous import RendezvousHashTable, WeightedRendezvousHashTable
 from .weighted import VirtualWeightTable, WeightedTableConfig, weighted_table
 
-#: The three algorithms the paper evaluates against each other, plus the
-#: modular baseline from its introduction.  Derived from the registry;
-#: kept as a name -> class mapping for backward compatibility (prefer
-#: :func:`make_table` for construction).
-PAPER_ALGORITHMS = {
-    name: table_class(name)
-    for name in ("modular", "consistent", "rendezvous", "hd")
-}
-
-#: Every algorithm constructible as ``cls(seed=...)``, including the
-#: extension baselines.  ``hierarchical`` is registered (use
-#: ``make_table("hierarchical")``) but excluded here because its class
-#: constructor takes sub-table factories, not a bare seed.
-ALL_ALGORITHMS = {
-    name: algorithm_entry(name).cls
-    for name in registered_algorithms()
-    if algorithm_entry(name).factory is None
-}
-
 __all__ = [
-    "ALL_ALGORITHMS",
-    "PAPER_ALGORITHMS",
     "STATE_FORMAT_VERSION",
     "AlgorithmEntry",
-    "BoundedConfig",
-    "BoundedLoadConsistentHashTable",
     "ConsistentConfig",
     "ConsistentHashTable",
     "DynamicHashTable",

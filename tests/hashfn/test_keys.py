@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hashfn import (
-    HashFamily,
-    key_to_word,
-    keys_to_words,
-    word_for_server,
-)
+from repro.hashfn import HashFamily, key_to_word, keys_to_words
 
 
 class TestKeyToWord:
@@ -59,14 +54,6 @@ class TestKeysToWords:
     def test_signed_input_accepted(self):
         words = keys_to_words(np.arange(4, dtype=np.int32))
         assert words.dtype == np.uint64
-
-
-class TestWordForServer:
-    def test_domain_separation(self):
-        assert word_for_server("a") != key_to_word("a")
-
-    def test_deterministic(self):
-        assert word_for_server("node", seed=3) == word_for_server("node", seed=3)
 
 
 class TestHashFamily:

@@ -15,8 +15,6 @@ from repro.hashfn import (
     rotl64_vec,
     splitmix64,
     splitmix64_vec,
-    xorshift_star,
-    xorshift_star_vec,
 )
 
 u64 = st.integers(min_value=0, max_value=MASK64)
@@ -24,7 +22,6 @@ u64 = st.integers(min_value=0, max_value=MASK64)
 _PAIRS = [
     (splitmix64, splitmix64_vec),
     (fmix64, fmix64_vec),
-    (xorshift_star, xorshift_star_vec),
 ]
 
 

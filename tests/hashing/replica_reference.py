@@ -6,8 +6,8 @@ of a one-row batch.  This module restates each algorithm's replica
 rule the slow way, one word at a time, so the replica suites compare
 batch rows against something the kernels do not share:
 
-* consistent / bounded-consistent: the next ``k`` distinct servers
-  clockwise from the word's ring successor (``_successor_index``);
+* consistent: the next ``k`` distinct servers clockwise from the
+  word's ring successor (``_successor_index``);
 * multiprobe-consistent: the same walk from the winning probe's ring
   entry (``_best_probe_index``);
 * modular: successive hash buckets through the slot indirection;

@@ -1,9 +1,9 @@
 """Property tests: invariants that must hold under arbitrary churn.
 
-Hypothesis drives random join/leave/lookup schedules against each
-algorithm and checks the invariants the experiments rely on: replicas
-stay bit-identical, lookups always land on live members, and
-re-building from scratch matches incremental mutation.
+Hypothesis drives random join/leave/lookup schedules against every
+registered algorithm and checks the invariants the experiments rely
+on: replicas stay bit-identical, lookups always land on live members,
+and re-building from scratch matches incremental mutation.
 """
 
 import numpy as np
@@ -11,21 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import (
-    ConsistentHashTable,
-    HDHashTable,
-    JumpHashTable,
-    ModularHashTable,
-    RendezvousHashTable,
-)
+from repro.hashing import make_table, registered_algorithms
 
-_FACTORIES = {
-    "modular": lambda: ModularHashTable(seed=9),
-    "consistent": lambda: ConsistentHashTable(seed=9),
-    "rendezvous": lambda: RendezvousHashTable(seed=9),
-    "hd": lambda: HDHashTable(seed=9, dim=512, codebook_size=128),
-    "jump": lambda: JumpHashTable(seed=9),
+#: Light configs so the suite stays fast.
+LIGHT_CONFIG = {
+    "hd": {"dim": 512, "codebook_size": 128},
+    "maglev": {"table_size": 251},
 }
+
+
+def _build(name):
+    return make_table(name, seed=9, **LIGHT_CONFIG.get(name, {}))
+
 
 # A churn schedule: each element joins (True) or leaves (False) a server
 # index from a bounded universe, skipping no-ops.
@@ -49,12 +46,12 @@ def _apply(table, schedule):
     return live
 
 
-@pytest.mark.parametrize("name", sorted(_FACTORIES))
+@pytest.mark.parametrize("name", sorted(registered_algorithms()))
 class TestChurnInvariants:
     @settings(max_examples=15, deadline=None)
     @given(schedule=churn_schedules)
     def test_lookup_always_hits_live_member(self, name, schedule):
-        table = _FACTORIES[name]()
+        table = _build(name)
         live = _apply(table, schedule)
         if not live:
             return
@@ -67,8 +64,8 @@ class TestChurnInvariants:
     @settings(max_examples=15, deadline=None)
     @given(schedule=churn_schedules)
     def test_replicas_bit_identical_under_churn(self, name, schedule):
-        first = _FACTORIES[name]()
-        second = _FACTORIES[name]()
+        first = _build(name)
+        second = _build(name)
         live_a = _apply(first, schedule)
         live_b = _apply(second, schedule)
         assert live_a == live_b
@@ -87,7 +84,7 @@ class TestChurnInvariants:
         like building that membership directly in slot-sorted order."""
         if name == "jump":
             pytest.skip("jump's bucket layout is deliberately historical")
-        table = _FACTORIES[name]()
+        table = _build(name)
         live = _apply(table, schedule)
         if not live:
             return
@@ -95,7 +92,7 @@ class TestChurnInvariants:
         ids = np.asarray(table.server_ids, dtype=object)
         churned = ids[table.route_batch(words)]
 
-        fresh = _FACTORIES[name]()
+        fresh = _build(name)
         for server in table.server_ids:  # same final membership
             fresh.join(server)
         fresh_ids = np.asarray(fresh.server_ids, dtype=object)

@@ -8,136 +8,110 @@ from repro.errors import (
     EmptyTableError,
     UnknownServerError,
 )
-from repro.hashing import (
-    BoundedLoadConsistentHashTable,
-    ConsistentHashTable,
-    HDHashTable,
-    HierarchicalHashTable,
-    JumpHashTable,
-    MaglevHashTable,
-    ModularHashTable,
-    MultiProbeConsistentHashTable,
-    RendezvousHashTable,
-    WeightedRendezvousHashTable,
-)
+from repro.hashing import make_table, registered_algorithms
 
 from ..conftest import populate
 
-
-def _build(cls):
-    if cls is HDHashTable:
-        return cls(seed=1, dim=1_024, codebook_size=128)
-    if cls is MaglevHashTable:
-        return cls(seed=1, table_size=251)
-    if cls is HierarchicalHashTable:
-        return cls(
-            outer_factory=lambda: ConsistentHashTable(seed=1),
-            inner_factory=lambda: RendezvousHashTable(seed=1),
-            n_groups=3,
-            seed=1,
-        )
-    return cls(seed=1)
+#: Light configs so the suite stays fast.  Hierarchical's registry
+#: default nests consistent rings, and both rings place a word at the
+#: same point, so a group sees only its outer arc and some of 8
+#: servers get no key; rendezvous groups reach every member.
+LIGHT_CONFIG = {
+    "hd": {"dim": 1_024, "codebook_size": 128},
+    "maglev": {"table_size": 251},
+    "hierarchical": {"outer": "consistent", "inner": "rendezvous", "n_groups": 3},
+}
 
 
-ALL_TABLES = [
-    ModularHashTable,
-    ConsistentHashTable,
-    RendezvousHashTable,
-    HDHashTable,
-    JumpHashTable,
-    MaglevHashTable,
-    BoundedLoadConsistentHashTable,
-    WeightedRendezvousHashTable,
-    MultiProbeConsistentHashTable,
-    HierarchicalHashTable,
-]
+def _build(name):
+    return make_table(name, seed=1, **LIGHT_CONFIG.get(name, {}))
 
 
-@pytest.mark.parametrize("cls", ALL_TABLES)
+@pytest.mark.parametrize("name", registered_algorithms())
 class TestMembership:
-    def test_join_and_contains(self, cls):
-        table = _build(cls)
+    def test_join_and_contains(self, name):
+        table = _build(name)
         table.join("alpha")
         assert "alpha" in table
         assert table.server_count == 1
         assert table.server_ids == ("alpha",)
 
-    def test_duplicate_join_rejected(self, cls):
-        table = _build(cls)
+    def test_duplicate_join_rejected(self, name):
+        table = _build(name)
         table.join("alpha")
         with pytest.raises(DuplicateServerError):
             table.join("alpha")
 
-    def test_leave_removes(self, cls):
-        table = populate(_build(cls), 4)
+    def test_leave_removes(self, name):
+        table = populate(_build(name), 4)
         table.leave(2)
         assert 2 not in table
         assert table.server_count == 3
 
-    def test_leave_unknown_rejected(self, cls):
-        table = _build(cls)
+    def test_leave_unknown_rejected(self, name):
+        table = _build(name)
         with pytest.raises(UnknownServerError):
             table.leave("ghost")
 
-    def test_len_and_repr(self, cls):
-        table = populate(_build(cls), 3)
+    def test_len_and_repr(self, name):
+        table = populate(_build(name), 3)
         assert len(table) == 3
         assert "3" in repr(table)
 
 
-@pytest.mark.parametrize("cls", ALL_TABLES)
+@pytest.mark.parametrize("name", registered_algorithms())
 class TestLookups:
-    def test_empty_table_raises(self, cls):
-        table = _build(cls)
+    def test_empty_table_raises(self, name):
+        table = _build(name)
         with pytest.raises(EmptyTableError):
             table.lookup("key")
         with pytest.raises(EmptyTableError):
             table.lookup_batch(np.arange(4, dtype=np.uint64))
 
-    def test_lookup_returns_member(self, cls):
-        table = populate(_build(cls), 8)
+    def test_lookup_returns_member(self, name):
+        table = populate(_build(name), 8)
         for key in ("a", "b", 42, b"raw"):
             assert table.lookup(key) in table.server_ids
 
-    def test_lookup_deterministic(self, cls):
-        table = populate(_build(cls), 8)
+    def test_lookup_deterministic(self, name):
+        table = populate(_build(name), 8)
         assert table.lookup("stable-key") == table.lookup("stable-key")
 
-    def test_scalar_matches_batch(self, cls, request_words):
-        table = populate(_build(cls), 8)
+    def test_scalar_matches_batch(self, name, request_words):
+        table = populate(_build(name), 8)
         words = request_words[:200]
         batch = table.route_batch(words)
         scalar = [table.route_word(int(word)) for word in words]
         assert batch.tolist() == scalar
 
-    def test_lookup_batch_returns_ids(self, cls, request_words):
-        table = populate(_build(cls), 8)
+    def test_lookup_batch_returns_ids(self, name, request_words):
+        table = populate(_build(name), 8)
         keys = np.arange(100, dtype=np.uint64)
         assigned = table.lookup_batch(keys)
         assert assigned.shape == (100,)
         assert set(assigned.tolist()) <= set(table.server_ids)
 
-    def test_lookup_batch_mixed_keys(self, cls):
-        table = populate(_build(cls), 4)
+    def test_lookup_batch_mixed_keys(self, name):
+        table = populate(_build(name), 4)
         assigned = table.lookup_batch(["a", "b", "c"])
         assert assigned.shape == (3,)
 
-    def test_all_servers_reachable(self, cls, request_words):
-        table = populate(_build(cls), 8)
+    def test_all_servers_reachable(self, name, request_words):
+        table = populate(_build(name), 8)
         slots = table.route_batch(request_words)
         assert set(np.unique(slots).tolist()) == set(range(8))
 
 
-@pytest.mark.parametrize("cls", ALL_TABLES)
+@pytest.mark.parametrize("name", registered_algorithms())
 class TestReplicaDeterminism:
-    def test_identically_built_tables_agree(self, cls, request_words):
-        first = populate(_build(cls), 12)
-        second = populate(_build(cls), 12)
+    def test_identically_built_tables_agree(self, name, request_words):
+        first = populate(_build(name), 12)
+        second = populate(_build(name), 12)
         assert np.array_equal(
             first.route_batch(request_words), second.route_batch(request_words)
         )
 
-    def test_agreement_survives_churn(self, cls, request_words):
+    def test_agreement_survives_churn(self, name, request_words):
         def churn(table):
             populate(table, 10)
             table.leave(3)
@@ -146,18 +120,18 @@ class TestReplicaDeterminism:
             table.join("late-2")
             return table
 
-        first = churn(_build(cls))
-        second = churn(_build(cls))
+        first = churn(_build(name))
+        second = churn(_build(name))
         a = first.route_batch(request_words)
         b = second.route_batch(request_words)
         assert np.array_equal(a, b)
         assert first.server_ids == second.server_ids
 
 
-@pytest.mark.parametrize("cls", ALL_TABLES)
+@pytest.mark.parametrize("name", registered_algorithms())
 class TestMemoryRegions:
-    def test_regions_exist_and_are_writable(self, cls):
-        table = populate(_build(cls), 6)
+    def test_regions_exist_and_are_writable(self, name):
+        table = populate(_build(name), 6)
         regions = table.memory_regions()
         assert regions, "every table must expose routing state"
         for region in regions:
@@ -165,12 +139,12 @@ class TestMemoryRegions:
             region.flip(0)
             region.flip(0)  # restore
 
-    def test_region_flips_are_visible_to_lookups(self, cls, request_words):
+    def test_region_flips_are_visible_to_lookups(self, name, request_words):
         """Corrupting the exposed state must be able to change routing --
         otherwise the robustness experiment would be vacuous.  HD hashing
         is *designed* to shrug off scattered flips, so corruption is
         applied in escalating chunks until routing reacts."""
-        table = populate(_build(cls), 6)
+        table = populate(_build(name), 6)
         words = request_words[:300]
         reference = table.route_batch(words).copy()
         regions = table.memory_regions()

@@ -1,12 +1,12 @@
 """Tests for the string-keyed algorithm registry."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.errors import UnknownAlgorithmError
 from repro.hashing import (
-    ALL_ALGORITHMS,
-    PAPER_ALGORITHMS,
     DynamicHashTable,
     HDHashTable,
     HierarchicalHashTable,
@@ -35,7 +35,6 @@ class TestRegistryContents:
             "hd",
             "jump",
             "maglev",
-            "bounded-consistent",
             "weighted-rendezvous",
             "multiprobe-consistent",
             "hierarchical",
@@ -49,13 +48,6 @@ class TestRegistryContents:
             "rendezvous",
             "hd",
         }
-
-    def test_legacy_dicts_derived_from_registry(self):
-        for name, cls in PAPER_ALGORITHMS.items():
-            assert table_class(name) is cls
-        for name, cls in ALL_ALGORITHMS.items():
-            assert table_class(name) is cls
-        assert "hierarchical" not in ALL_ALGORITHMS  # factory-built
 
     def test_entries_carry_descriptions(self):
         for name in registered_algorithms():
@@ -78,7 +70,6 @@ class TestCapabilityFlags:
         assert flagged == {
             "modular",
             "consistent",
-            "bounded-consistent",
             "multiprobe-consistent",
             "rendezvous",
             "weighted-rendezvous",
@@ -98,7 +89,6 @@ class TestCapabilityFlags:
         assert flagged == {
             "hd",
             "consistent",
-            "bounded-consistent",
             "rendezvous",
             "weighted-rendezvous",
             "weighted",
@@ -124,11 +114,7 @@ class TestCapabilityFlags:
                 assert fast.shape == words.shape, name
 
 
-@pytest.mark.parametrize("name", [
-    "modular", "consistent", "rendezvous", "hd", "jump", "maglev",
-    "bounded-consistent", "weighted-rendezvous", "multiprobe-consistent",
-    "hierarchical",
-])
+@pytest.mark.parametrize("name", registered_algorithms())
 class TestMakeTable:
     def test_constructs_and_routes(self, name):
         table = build(name, seed=1)
@@ -149,6 +135,15 @@ class TestSpecsAndErrors:
         # ... which remains catchable as the builtin ValueError.
         with pytest.raises(ValueError):
             make_table("quantum")
+
+    def test_deleted_entry_is_unknown(self):
+        # bounded-consistent routed every word like consistent and was
+        # deleted, not mapped onto consistent.
+        with pytest.raises(UnknownAlgorithmError) as raised:
+            make_table("bounded-consistent")
+        message = str(raised.value)
+        for name in registered_algorithms():
+            assert name in message
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(TypeError, match="modular"):
@@ -220,3 +215,31 @@ class TestBuilderDeterminism:
                 a.route_batch(request_words[:300]),
                 b.route_batch(request_words[:300]),
             ), name
+
+
+class TestDistinctRouting:
+    def test_no_two_algorithms_route_alike(self):
+        # An entry that routes every word like another one is an alias,
+        # not an algorithm.  Weight-capable tables join at weights
+        # 1/2/4: at unit weights weighted-rendezvous routes exactly like
+        # rendezvous, which is how the logarithm method works.
+        words = np.random.default_rng(29).integers(
+            0, 2**64, 4_096, dtype=np.uint64
+        )
+        servers = ["srv-{:02d}".format(index) for index in range(12)]
+        owners = {}
+        for name in registered_algorithms():
+            table = build(name)
+            for index, server in enumerate(servers):
+                if table.supports_weights:
+                    table.join(server, weight=(1.0, 2.0, 4.0)[index % 3])
+                else:
+                    table.join(server)
+            ids = np.asarray(table.server_ids, dtype=object)
+            owners[name] = ids[table.route_batch(words)]
+        alike = [
+            (first, second)
+            for first, second in itertools.combinations(owners, 2)
+            if np.array_equal(owners[first], owners[second])
+        ]
+        assert alike == []

@@ -18,27 +18,25 @@ from repro import (
     SingleBitFlips,
 )
 from repro.analysis import uniformity_chi2
-from repro.hashing import registered_algorithms
+from repro.hashing import make_table, registered_algorithms
 from repro.emulator import Emulator, HashTableModule, RequestGenerator, ZipfKeys
 
 from ..conftest import populate
-
-
-def _factories():
-    return {
-        "consistent": lambda: ConsistentHashTable(seed=11),
-        "rendezvous": lambda: RendezvousHashTable(seed=11),
-        "hd": lambda: HDHashTable(seed=11, dim=2_048, codebook_size=512),
-    }
 
 
 class TestReplicaEquivalence:
     """A pristine replica must agree bit-for-bit with the original --
     otherwise mismatch percentages would measure implementation noise."""
 
-    @pytest.mark.parametrize("name", sorted(_factories()))
+    _CONFIGS = {
+        "hd": {"dim": 2_048, "codebook_size": 512},
+        "maglev": {"table_size": 251},
+    }
+
+    @pytest.mark.parametrize("name", sorted(registered_algorithms()))
     def test_replay_equivalence_after_churn(self, name, request_words):
-        factory = _factories()[name]
+        def factory():
+            return make_table(name, seed=11, **self._CONFIGS.get(name, {}))
 
         def build(table):
             populate(table, 24)

@@ -2,20 +2,19 @@
 
 ``Router`` and ``ClusterRouter`` share one serving surface: reads fail
 over around avoided servers, writes land at the assigned owner.  Every
-test runs on a plain router and on a 3-shard cluster.
+test runs on a plain router and on a 3-shard cluster, over every
+registered algorithm.
 """
 
 import pytest
 
 from repro.errors import EmptyTableError, UnknownServerError
-from repro.hashing import make_table
+from repro.hashing import make_table, registered_algorithms
 from repro.service import ClusterRouter, Router, RouterObserver
 
-CONFIGS = {
-    "consistent": {},
-    "rendezvous": {},
-    "hd": {"dim": 1_024, "codebook_size": 128},
-}
+#: Light configs so the suite stays fast.
+LIGHT_CONFIG = {"hd": {"dim": 1_024, "codebook_size": 128}}
+CONFIGS = {name: LIGHT_CONFIG.get(name, {}) for name in registered_algorithms()}
 FLEET = ("a", "b", "c", "d", "e", "f")
 KEYS = list(range(400))
 

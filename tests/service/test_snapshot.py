@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import StateError
+from repro.errors import StateError, UnknownAlgorithmError
 from repro.hashing import (
     DynamicHashTable,
     HDHashTable,
@@ -242,6 +242,15 @@ class TestStateErrors:
         state = churn(build("modular")).state_dict()
         with pytest.raises(StateError):
             HDHashTable.from_state(state)
+
+    def test_deleted_algorithm_rejected(self):
+        # bounded-consistent routed every word like consistent and was
+        # deleted; a snapshot naming it is refused, not read as consistent.
+        state = churn(build("consistent")).state_dict()
+        state["algorithm"] = "bounded-consistent"
+        state["config"] = dict(state["config"], balance=1.25)
+        with pytest.raises(UnknownAlgorithmError, match="registered: consistent"):
+            DynamicHashTable.from_state(state)
 
     def test_subclass_dispatch_accepts_match(self):
         state = churn(build("hd")).state_dict()

@@ -46,13 +46,15 @@ def test_quickstart_docstring_example():
 
 
 def test_paper_algorithm_registry():
-    assert set(repro.PAPER_ALGORITHMS) == {
+    paper = repro.registered_algorithms(paper_only=True)
+    assert set(paper) == {
         "modular",
         "consistent",
         "rendezvous",
         "hd",
     }
-    for cls in repro.PAPER_ALGORITHMS.values():
+    for name in paper:
+        cls = repro.table_class(name)
         table = cls(seed=0) if cls is not repro.HDHashTable else cls(
             seed=0, dim=512, codebook_size=64
         )
