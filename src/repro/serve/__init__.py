@@ -9,9 +9,10 @@ cooperating pieces:
   deadline); a batch's cache misses, deletes and puts take one
   :meth:`~repro.store.DataPlane.serve_batch` (one routing pass and one
   store pass), with fixed batch visibility semantics (reads observe
-  pre-batch state, then deletes, then write-through puts).
+  pre-batch state, then deletes, then puts).
 - :class:`~repro.serve.cache.HotKeyCache` -- a bounded LRU absorbing
-  the Zipfian hot set, kept exact across membership churn by
+  the Zipfian hot set (an install that would evict must be earned by a
+  second miss; a put never evicts), kept exact across membership churn by
   :class:`~repro.serve.frontend.EpochInvalidator`, which evicts
   precisely the keys each epoch's migration plan names instead of
   flushing.

@@ -18,7 +18,8 @@ per-server call.  A batch of cache hits never routes.
 
 Batch visibility semantics (what a mixed batch observes) are fixed and
 documented: **reads observe the pre-batch state**; then deletes apply;
-then puts apply (write-through into the cache).  A write becomes
+then puts apply (each refreshes its cached entry, or fills free room;
+into a full cache it goes to the store only).  A write becomes
 visible to reads from the *next* batch onward.  Requests never reorder
 across batches -- the queue is FIFO and a flush takes a prefix.  A
 batch whose dispatch raises fails alone: its unresolved futures get the
@@ -38,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque, namedtuple
-from itertools import repeat, starmap
+from itertools import compress, repeat, starmap
 from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -183,8 +184,11 @@ class MicroBatcher:
         deletes and puts then take one
         :meth:`~repro.store.DataPlane.serve_batch` -- one routing pass
         and one store pass, skipped when there is nothing to route --
-        and the cache follows in one bulk call each: found misses are
-        installed, removed keys invalidated, puts written through.
+        and the cache follows in one bulk call each: the found misses
+        go to :meth:`~repro.serve.cache.HotKeyCache.admit_many`, removed
+        keys are invalidated and the puts go to
+        :meth:`~repro.serve.cache.HotKeyCache.write_many`, so an install
+        that would evict must be earned.
         Results align to ``gets``, ``gets``, ``deletes`` and ``puts``
         (the plane's shapes); a missing read is ``None`` with ``found``
         false.
@@ -193,7 +197,8 @@ class MicroBatcher:
         probed = cache is not None and len(gets) > 0
         if probed:
             read_values, found = cache.get_many(gets)
-            miss_positions = np.flatnonzero(~found)
+            missing = ~found
+            miss_positions = np.flatnonzero(missing)
             misses = len(miss_positions)
         else:
             misses = len(gets)
@@ -204,24 +209,23 @@ class MicroBatcher:
             if not probed:
                 return _NO_VALUES, _NO_MASK, _NO_MASK, _NO_VALUES
             return read_values, found, _NO_MASK, _NO_VALUES
-        if probed:
-            missed = [gets[position] for position in miss_positions.tolist()]
+        # With some hits, only the misses route and their answers are
+        # scattered back; a batch whose reads all missed routes them whole.
+        partial = probed and misses < len(gets)
+        if partial:
+            missed = list(compress(gets, missing.tolist()))
         else:
             missed = gets
         fetched, present, deleted, owners = self._plane.serve_batch(
             missed, deletes, puts, values
         )
-        if not probed:
-            read_values, found = fetched, present
-        elif misses:
+        if partial:
             read_values[miss_positions] = fetched
             found[miss_positions] = present
-            installed = np.flatnonzero(present)
-            if len(installed):
-                cache.put_many(
-                    [missed[offset] for offset in installed.tolist()],
-                    fetched[installed],
-                )
+        else:
+            read_values, found = fetched, present
+        if probed and misses:
+            cache.admit_many(missed, fetched, present)
         if cache is not None:
             if len(deletes):
                 removed = np.flatnonzero(deleted)
@@ -230,7 +234,7 @@ class MicroBatcher:
                         [deletes[position] for position in removed.tolist()]
                     )
             if len(puts):
-                cache.put_many(puts, values)
+                cache.write_many(puts, values)
         return read_values, found, deleted, owners
 
     def serve_gets(self, keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
@@ -239,7 +243,7 @@ class MicroBatcher:
         return values, found
 
     def serve_puts(self, keys: Sequence[Key], values: Sequence[Any]) -> np.ndarray:
-        """Serve a write batch (write-through); returns owner ids."""
+        """Serve a write batch (around a full cache); returns owner ids."""
         return self.serve((), puts=keys, values=values)[3]
 
     def serve_deletes(self, keys: Sequence[Key]) -> np.ndarray:

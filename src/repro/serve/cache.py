@@ -12,23 +12,34 @@ accounting -- so the cache evicts precisely those keys and keeps the
 rest warm.  No blanket flush, no stale entry; see
 :class:`~repro.serve.frontend.EpochInvalidator` for the wiring.
 
-Write semantics are write-through: a put refreshes the cached value, a
-delete evicts it, so a cached read can never observe an overwritten
-value.
+The serving tier fills the cache through two calls, and an install
+that would evict must be earned.  :meth:`HotKeyCache.admit_many` takes a
+batch's found read misses: each installs while the cache has free room,
+but once it is full a key earns an eviction only on its second miss
+since the *doorkeeper* -- a plain set of the keys that missed while the
+cache was full, cleared once it holds more than ``capacity`` keys -- was
+last cleared (TinyLFU's doorkeeper).  :meth:`HotKeyCache.write_many`
+takes a batch's puts: a put refreshes a resident entry and fills free
+room, but never evicts -- a put of a non-resident key into a full cache
+goes to the store only (write-around).  A delete evicts the entry.  So
+a resident value always equals the store's, and a key touched once
+never pushes out one that is touched again.  Each declined install
+counts one ``rejections``.
 
 The entries live in one ``OrderedDict``, least recently used first, and
 each bulk call is a few C-level sweeps over its methods -- no Python
 loop per key.  The scalar calls are one-key bulk calls, and a bulk call
 is bit-equivalent to the scalar calls in sequence (contents, LRU order
-and all four counters), which ``tests/serve/test_cache_oracle.py`` pins
-against a plain ``OrderedDict`` reference on random op schedules.
+and all five counters), which ``tests/serve/test_cache_oracle.py`` pins
+against a plain ``OrderedDict`` reference (plus a ``set`` for the
+doorkeeper) on random op schedules.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from itertools import compress, islice, repeat
-from operator import itemgetter
+from itertools import compress, filterfalse, islice, repeat
+from operator import itemgetter, not_, or_
 from typing import Any, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -54,10 +65,13 @@ class HotKeyCache:
         self._capacity = int(capacity)
         #: key -> value, least recently used first.
         self._entries: OrderedDict = OrderedDict()
+        #: Keys declined by :meth:`admit_many` since the last clear.
+        self._doorkeeper: set = set()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self.rejections = 0
 
     # -- introspection ----------------------------------------------------
 
@@ -72,8 +86,11 @@ class HotKeyCache:
         return key in self._entries
 
     def __repr__(self) -> str:
-        return "HotKeyCache(size={}, capacity={}, hit_rate={:.3f})".format(
-            len(self._entries), self._capacity, self.hit_rate
+        return (
+            "HotKeyCache(size={}, capacity={}, hit_rate={:.3f}, "
+            "rejections={})".format(
+                len(self._entries), self._capacity, self.hit_rate, self.rejections
+            )
         )
 
     @property
@@ -212,6 +229,128 @@ class HotKeyCache:
                 entries.popitem(last=False)
                 evictions += 1
         self.evictions += evictions
+
+    # -- the serving tier's installs ---------------------------------------
+
+    def admit_many(
+        self, keys: Sequence[Key], values: Sequence[Any], found: Sequence[bool]
+    ) -> None:
+        """Install a batch's found read misses; an eviction must be earned.
+
+        ``keys`` are the batch's cache misses (none is resident when the
+        call starts; a key may repeat), ``values`` and ``found`` the data
+        plane's answer for them, and only found keys are candidates.  In
+        batch order, a candidate resident by then (a repeat) is refreshed
+        and one that fits the free room is installed, both as :meth:`put`
+        does.  One that would evict is installed only when its key is in
+        the doorkeeper; otherwise it is declined (one ``rejections``) and
+        joins the doorkeeper, which is cleared once it holds more than
+        ``capacity`` keys.  So a batch that only partly fits the free
+        room fills it with its first new keys and the rest meet the
+        doorkeeper, and a key repeated in one batch earns its eviction at
+        its second position.
+
+        A batch that fits the free room lands in one :meth:`put_many`.
+        Against a full cache every position is admitted but a
+        stranger's (a key not in the doorkeeper), so the admitted keys
+        land in one :meth:`put_many` and a batch of strangers makes no
+        call -- unless a stranger repeats or the doorkeeper overflows
+        mid-batch.  Those batches, and a partly free cache, take the
+        rule key by key (:meth:`_admit_one_by_one`).
+        """
+        mask = np.asarray(found, dtype=bool).tolist()
+        if not len(keys) == len(values) == len(mask):
+            raise ValueError(
+                "admit_many needs aligned batches, got {} keys, {} values "
+                "and {} found flags".format(len(keys), len(values), len(mask))
+            )
+        keys = list(compress(keys, mask))
+        n = len(keys)
+        if not n:
+            return
+        values = compress(values, mask)  # read only when something installs
+        door = self._doorkeeper
+        capacity = self._capacity
+        room = capacity - len(self._entries)
+        if room:
+            if len(set(keys)) <= room:
+                self.put_many(keys, list(values))
+                return
+        elif len(door) + n <= capacity and door.isdisjoint(keys):
+            # A batch of strangers: every candidate is declined, unless
+            # one repeats.
+            before = len(door)
+            door.update(keys)
+            if len(door) - before == n:
+                self.rejections += n
+                return
+            door.difference_update(keys)
+        else:
+            strangers = set(filterfalse(door.__contains__, keys))
+            kept = list(map(not_, map(strangers.__contains__, keys)))
+            admitted = kept.count(True)
+            # In bulk unless a stranger repeats (its repeat is a second
+            # miss) or the doorkeeper would overflow mid-batch.
+            if n - admitted == len(strangers) and (
+                len(door) + len(strangers) <= capacity
+            ):
+                self.rejections += len(strangers)
+                door.update(strangers)
+                self.put_many(
+                    list(compress(keys, kept)), list(compress(values, kept))
+                )
+                return
+        self._admit_one_by_one(keys, values)
+
+    def _admit_one_by_one(self, keys: Sequence[Key], values: Iterable[Any]) -> None:
+        """:meth:`admit_many`'s exact fallback: the rule, key by key."""
+        entries = self._entries
+        door = self._doorkeeper
+        capacity = self._capacity
+        for key, value in zip(keys, values):
+            if key in entries or len(entries) < capacity or key in door:
+                self.put_many((key,), (value,))
+            else:
+                self.rejections += 1
+                door.add(key)
+                if len(door) > capacity:
+                    door.clear()
+
+    def write_many(self, keys: Sequence[Key], values: Sequence[Any]) -> None:
+        """Write a batch of puts into the cache; a put never evicts.
+
+        In batch order, a put of a resident key refreshes it and a put
+        that fits the free room installs it, both as :meth:`put` does.  A
+        put that would evict goes to the store only (write-around): it is
+        declined and counted in ``rejections``, and the doorkeeper never
+        sees it.  So a batch that only partly fits the free room installs
+        its first new keys, as many as the room holds, and declines every
+        position of the others.  The kept puts land in one
+        :meth:`put_many`; a batch that keeps none makes no call.
+        """
+        n = len(keys)
+        if n != len(values):
+            raise ValueError(
+                "write_many needs aligned batches, got {} keys and {} "
+                "values".format(n, len(values))
+            )
+        entries = self._entries
+        room = self._capacity - len(entries)
+        if n <= room:
+            self.put_many(keys, values)
+            return
+        kept = list(map(entries.__contains__, keys))
+        if room:
+            fresh = list(dict.fromkeys(compress(keys, map(not_, kept))))
+            if len(fresh) <= room:
+                self.put_many(keys, values)
+                return
+            joining = set(fresh[:room])
+            kept = list(map(or_, kept, map(joining.__contains__, keys)))
+        admitted = kept.count(True)
+        self.rejections += n - admitted
+        if admitted:
+            self.put_many(list(compress(keys, kept)), list(compress(values, kept)))
 
     def invalidate(self, key: Key) -> bool:
         """Drop one entry; True when it was cached."""

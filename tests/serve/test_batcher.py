@@ -4,6 +4,7 @@ import asyncio
 import inspect
 import random
 
+import numpy as np
 import pytest
 
 from repro.hashing import make_table
@@ -87,6 +88,73 @@ class TestSyncCore:
         plane.put("k", "v")
         values, found = batcher.serve_gets(["k"])
         assert found[0] and values[0] == "v"
+
+
+def full_batcher(capacity=4, stored=32):
+    """A batcher whose cache holds ``range(capacity)`` and is full."""
+    plane = build_plane()
+    plane.put_many(list(range(stored)), [key * 10 for key in range(stored)])
+    batcher = MicroBatcher(plane, cache=HotKeyCache(capacity))
+    batcher.serve_gets(list(range(capacity)))
+    assert len(batcher.cache) == capacity
+    return batcher, plane
+
+
+class TestAdmission:
+    """On a full cache an install that would evict must be earned."""
+
+    def test_a_key_earns_its_install_on_its_second_miss(self):
+        batcher, __ = full_batcher()
+        cache = batcher.cache
+        for attempt in range(2):
+            values, found = batcher.serve_gets([20])
+            assert found[0] and values[0] == 200
+            assert (20 in cache) == bool(attempt)
+        assert cache.rejections == 1 and cache.evictions == 1
+        assert cache.keys() == (1, 2, 3, 20)
+
+    def test_a_put_of_a_non_resident_key_goes_to_the_store_only(self):
+        batcher, plane = full_batcher()
+        cache = batcher.cache
+        batcher.serve_puts([20], ["new"])
+        assert cache.keys() == (0, 1, 2, 3)
+        assert cache.evictions == 0 and cache.rejections == 1
+        hits = cache.hits
+        values, found = batcher.serve_gets([20])
+        assert found[0] and values[0] == "new"
+        assert cache.hits == hits and plane.get(20) == "new"
+
+    def test_a_put_of_a_resident_key_updates_it_in_place(self):
+        batcher, plane = full_batcher()
+        cache = batcher.cache
+        batcher.serve_puts([2], ["fresh"])
+        assert cache.peek(2) == "fresh" and plane.get(2) == "fresh"
+        assert len(cache) == 4
+        assert cache.evictions == 0 and cache.rejections == 0
+        hits = cache.hits
+        values, found = batcher.serve_gets([2])
+        assert values[0] == "fresh" and cache.hits == hits + 1
+
+    def test_a_uniform_stream_evicts_a_small_share_of_its_misses(self):
+        # 360 batches of 180 uniform reads, 12 deletes and 64 puts (the
+        # deleted keys restored, then 52 overwrites) through a full
+        # 4,096-entry cache over 65,536 stored keys.  Installing every
+        # found miss and every put evicted more entries than the stream
+        # missed; the doorkeeper admits a key only on its second miss.
+        rng = np.random.default_rng(30)
+        universe = 1 << 16
+        plane = build_plane()
+        plane.put_many(list(range(universe)), list(range(universe)))
+        cache = HotKeyCache(4_096)
+        batcher = MicroBatcher(plane, cache=cache)
+        batcher.serve_gets(rng.choice(universe, 4_096, replace=False).tolist())
+        assert len(cache) == 4_096
+        for __ in range(360):
+            deletes = rng.integers(0, universe, 12).tolist()
+            puts = deletes + rng.integers(0, universe, 52).tolist()
+            batcher.serve(rng.integers(0, universe, 180).tolist(), deletes, puts, puts)
+        assert cache.misses > 50_000
+        assert cache.evictions <= 0.05 * cache.misses
 
 
 class TestBatchSemantics:

@@ -9,6 +9,11 @@ get/put/invalidate/flush (scalar and bulk, including capacity 1,
 duplicate keys inside one batch, and invalidation mid-stream) against
 the reference implementation below and asserts the full observable
 state after every step.
+
+The serving tier's installs (``admit_many`` for a batch's read misses,
+``write_many`` for its puts) earn their evictions; ``OracleAdmission``
+restates that rule as a plain loop over the same ``OrderedDict`` plus a
+``set`` doorkeeper, and its schedules check all five counters.
 """
 
 from __future__ import annotations
@@ -352,3 +357,161 @@ class TestBulkSurfaces:
         assert cache.key_set() == {"a", "b"}
         cache.invalidate("a")
         assert cache.key_set() == {"b"}
+
+
+class OracleAdmission(OracleLRU):
+    """The reference of the serving tier's installs: the LRU plus a set.
+
+    A found read miss (:meth:`admit`) that would evict installs only when
+    the doorkeeper holds its key; otherwise it is declined and joins the
+    doorkeeper, which is cleared once it holds more than ``capacity``
+    keys.  A put (:meth:`write`) that would evict is declined and never
+    touches the doorkeeper.
+    """
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.door = set()
+        self.rejections = 0
+
+    def admit(self, key, value):
+        entries = self.entries
+        if key in entries or len(entries) < self.capacity or key in self.door:
+            self.put(key, value)
+            return
+        self.rejections += 1
+        self.door.add(key)
+        if len(self.door) > self.capacity:
+            self.door.clear()
+
+    def write(self, key, value):
+        if key in self.entries or len(self.entries) < self.capacity:
+            self.put(key, value)
+        else:
+            self.rejections += 1
+
+
+def assert_admission_equivalent(cache: HotKeyCache, oracle: OracleAdmission) -> None:
+    """Contents, LRU order and all five counters."""
+    assert_equivalent(cache, oracle)
+    assert cache.rejections == oracle.rejections
+
+
+def drive_admission(cache, oracle, rng, steps, universe, batch_max=24):
+    """A random schedule of the batcher-facing calls, checked stepwise.
+
+    Installs of a batch's misses (the keys not cached, repeats and
+    not-found positions included, as the batcher hands them over) and
+    batched puts dominate; bulk gets refresh recency, and invalidations
+    and the odd flush open free room mid-stream.
+    """
+    for __ in range(steps):
+        op = rng.integers(0, 10)
+        size = int(rng.integers(0, batch_max))
+        keys = [int(key) for key in rng.integers(0, universe, size)]
+        if op <= 3:
+            keys = [key for key in keys if key not in cache]
+        values = [object() for __ in keys]
+        if op <= 3:
+            found = (rng.random(len(keys)) < 0.85).tolist()
+            cache.admit_many(keys, values, found)
+            for key, value, present in zip(keys, values, found):
+                if present:
+                    oracle.admit(key, value)
+        elif op <= 6:
+            cache.write_many(keys, values)
+            for key, value in zip(keys, values):
+                oracle.write(key, value)
+        elif op == 7:
+            got, found = cache.get_many(keys, default=_ABSENT)
+            expected = [oracle.get(key, _ABSENT) for key in keys]
+            assert list(found) == [want is not _ABSENT for want in expected]
+            assert all(a is b for a, b in zip(got, expected))
+        elif op == 8:
+            drops = keys[: size // 4]
+            assert cache.invalidate_many(drops) == sum(
+                oracle.invalidate(key) for key in drops
+            )
+        elif rng.integers(0, 6) == 0:
+            assert cache.flush() == oracle.flush()
+        assert_admission_equivalent(cache, oracle)
+
+
+class TestAdmissionOracle:
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 7, 32])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_schedules(self, capacity, seed):
+        rng = np.random.default_rng(5000 + 1000 * capacity + seed)
+        # A universe far past the capacity keeps the cache full and the
+        # doorkeeper overflowing; one a few times the capacity repeats
+        # keys often enough that refreshed puts, second misses and
+        # evictions of batch-mates all happen.
+        for universe in (40 * capacity + 40, 3 * capacity + 4):
+            cache = HotKeyCache(capacity)
+            oracle = OracleAdmission(capacity)
+            drive_admission(cache, oracle, rng, steps=220, universe=universe)
+
+    def test_doorkeeper_overflows_and_clears(self):
+        cache, oracle = HotKeyCache(4), OracleAdmission(4)
+        cache.put_many(range(4), range(4))
+        for key in range(4):
+            oracle.put(key, key)
+        # Five strangers overflow a four-key doorkeeper at the fifth,
+        # which clears it.  The sixth's repeat then earns its eviction,
+        # while the first's second miss, after the clear, is declined
+        # again.
+        keys = [10, 11, 12, 13, 14, 15, 15, 10]
+        values = [object() for __ in keys]
+        cache.admit_many(keys, values, [True] * len(keys))
+        for key, value in zip(keys, values):
+            oracle.admit(key, value)
+        assert_admission_equivalent(cache, oracle)
+        assert cache.rejections == 7
+        assert cache.keys() == (1, 2, 3, 15)
+        assert oracle.door == {10, 15}
+
+    def test_a_read_batch_admits_nothing_without_an_install_call(self, monkeypatch):
+        cache = HotKeyCache(8)
+        cache.put_many(range(8), range(8))
+        calls = []
+        monkeypatch.setattr(cache, "put_many", lambda *args: calls.append(args))
+        cache.admit_many(list(range(100, 120)), list(range(20)), [True] * 20)
+        cache.write_many(list(range(200, 210)), list(range(10)))
+        assert calls == []
+        assert cache.rejections == 30 and cache.evictions == 0
+
+    def test_a_batch_of_distinct_misses_lands_in_one_install(self, monkeypatch):
+        def one_by_one(*args):
+            raise AssertionError("a batch of distinct misses went key by key")
+
+        cache, oracle = HotKeyCache(8), OracleAdmission(8)
+        cache.put_many(range(8), range(8))
+        for key in range(8):
+            oracle.put(key, key)
+        installs = []
+        put_many = cache.put_many
+
+        def recorded(keys, values):
+            installs.append(list(keys))
+            put_many(keys, values)
+
+        monkeypatch.setattr(cache, "put_many", recorded)
+        monkeypatch.setattr(HotKeyCache, "_admit_one_by_one", one_by_one)
+        # Strangers first, then two of them back (second misses) among
+        # new strangers: one install of the two, in batch order.
+        for keys in ([20, 21, 22], [23, 21, 24, 20, 25]):
+            values = [object() for __ in keys]
+            cache.admit_many(keys, values, [True] * len(keys))
+            for key, value in zip(keys, values):
+                oracle.admit(key, value)
+            assert_admission_equivalent(cache, oracle)
+        assert installs == [[21, 20]]
+        assert cache.rejections == 6 and cache.evictions == 2
+        assert oracle.door == {20, 21, 22, 23, 24, 25}
+
+    def test_install_calls_reject_misaligned_batches(self):
+        cache = HotKeyCache(4)
+        with pytest.raises(ValueError, match="aligned"):
+            cache.admit_many(["a", "b"], [1, 2], [True])
+        with pytest.raises(ValueError, match="aligned"):
+            cache.write_many(["a"], [1, 2])
