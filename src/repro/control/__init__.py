@@ -11,9 +11,7 @@ speaks *policy* over a heterogeneous fleet:
 * :class:`HealthMonitor` -- heartbeat deadlines driving
   suspect/dead transitions, with observer hooks;
 * :class:`Autoscaler` + :class:`UtilizationPolicy` -- scaling decisions
-  from real byte accounting against weighted capacity (the generalized
-  descendant of the emulator's request-counting
-  :class:`AutoscalePolicy`);
+  from real byte accounting against weighted capacity;
 * :class:`ControlLoop` -- the reconciliation tick gluing it together:
   health -> avoid-set failover, autoscale -> admissions and graceful
   drains, fleet diff -> ``Router.sync`` -> throttled
@@ -48,7 +46,6 @@ Quickstart::
 
 from .autoscale import (
     AutoscaleDecision,
-    AutoscalePolicy,
     Autoscaler,
     UtilizationPolicy,
 )
@@ -58,7 +55,6 @@ from .spec import FleetState, Health, ServerSpec
 
 __all__ = [
     "AutoscaleDecision",
-    "AutoscalePolicy",
     "Autoscaler",
     "ControlLoop",
     "ControlTickReport",

@@ -1,19 +1,13 @@
-"""Autoscaling policies: from request counting to real utilization.
+"""Autoscaling: scale decisions from byte utilization.
 
-Two generations live here:
-
-* :class:`AutoscalePolicy` -- the reactive requests-per-server band
-  policy, extracted verbatim from ``emulator/scenario.py`` (which
-  re-exports it).  It knows nothing about data: it counts requests.
-* :class:`Autoscaler` + :class:`UtilizationPolicy` -- the control-plane
-  generation.  Capacity is *weighted bytes*: a unit-weight server holds
-  ``capacity_bytes_per_weight`` accounted bytes, a weight-4 server four
-  times that, and utilization is the fleet's stored bytes (real
-  :class:`~repro.store.DataPlane` / :class:`~repro.store.ServerStore`
-  accounting, not request counts) over the live capacity.  Above the
-  band it admits unit-weight servers; below it nominates the
-  emptiest servers to *drain* -- scale-down is always the graceful
-  path, never a hard leave.
+Capacity is *weighted bytes*: a unit-weight server holds
+``capacity_bytes_per_weight`` accounted bytes, a weight-4 server four
+times that, and utilization is the fleet's stored bytes (real
+:class:`~repro.store.DataPlane` / :class:`~repro.store.ServerStore`
+accounting, not request counts) over the live capacity.  Above the
+band the :class:`Autoscaler` admits unit-weight servers; below it
+nominates the emptiest servers to *drain* -- scale-down is always the
+graceful path, never a hard leave.
 
 Decisions are pure data (:class:`AutoscaleDecision`); the
 :class:`~repro.control.loop.ControlLoop` is what applies them.
@@ -24,52 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from ..hashfn import Key
 from .spec import FleetState, Health, ServerSpec
 
 __all__ = [
-    "AutoscalePolicy",
     "UtilizationPolicy",
     "AutoscaleDecision",
     "Autoscaler",
 ]
-
-
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """Reactive scaling: keep requests/server inside a target band.
-
-    The emulator-era policy (``run_scenario`` still drives it); superseded
-    for data-bearing fleets by :class:`UtilizationPolicy`, which meters
-    stored bytes against weighted capacity instead of request counts.
-    """
-
-    target_load: float = 1_000.0
-    upper_tolerance: float = 1.3
-    lower_tolerance: float = 0.6
-    min_servers: int = 2
-    max_servers: int = 1_024
-
-    def decide(self, n_requests: int, n_servers: int) -> int:
-        """Server-count delta for the observed step load."""
-        per_server = n_requests / max(1, n_servers)
-        if (
-            per_server > self.target_load * self.upper_tolerance
-            and n_servers < self.max_servers
-        ):
-            wanted = int(np.ceil(n_requests / self.target_load))
-            return min(wanted, self.max_servers) - n_servers
-        if (
-            per_server < self.target_load * self.lower_tolerance
-            and n_servers > self.min_servers
-        ):
-            wanted = max(
-                int(np.ceil(n_requests / self.target_load)), self.min_servers
-            )
-            return wanted - n_servers
-        return 0
 
 
 @dataclass(frozen=True)
@@ -106,9 +62,9 @@ class UtilizationPolicy:
 
         The one place the "size the capacity so ``used_bytes`` on a
         fleet of ``total_weight`` sits exactly at the target" arithmetic
-        lives -- the CLI demo fleet, the ``control_tick`` benchmark and
-        the autoscale scenario all derive their in-band steady state
-        from it instead of hard-coding the target's default.
+        lives -- the CLI demo fleet and the ``control_tick`` benchmark
+        both derive their in-band steady state from it instead of
+        hard-coding the target's default.
         """
         target = float(
             overrides.get("target_utilization", cls.target_utilization)

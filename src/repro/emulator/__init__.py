@@ -24,55 +24,21 @@ from .requests import (
     Request,
 )
 from .scenario import (
-    AutoscalePolicy,
-    AutoscaleScenarioConfig,
-    AutoscaleScenarioResult,
-    AutoscaleStepRecord,
-    FailoverConfig,
-    FailoverResult,
-    FailoverStepRecord,
-    LiveReshardConfig,
-    LiveReshardResult,
-    ReshardTickRecord,
-    ScenarioConfig,
-    ScenarioResult,
     ServingChurnRecord,
     ServingScenarioConfig,
     ServingScenarioResult,
-    StepRecord,
-    run_autoscale_scenario,
-    run_failover_scenario,
-    run_live_reshard_scenario,
-    run_scenario,
     run_serving_scenario,
 )
 from .stats import LoadStats, MembershipStats, TimingStats
 from .trace import load_trace, parse_trace_lines, save_trace, trace_lines
 
 __all__ = [
-    "AutoscalePolicy",
-    "AutoscaleScenarioConfig",
-    "AutoscaleScenarioResult",
-    "AutoscaleStepRecord",
     "DispatchUnit",
     "EmulationReport",
     "Emulator",
-    "FailoverConfig",
-    "FailoverResult",
-    "FailoverStepRecord",
-    "LiveReshardConfig",
-    "LiveReshardResult",
-    "ReshardTickRecord",
-    "ScenarioConfig",
-    "ScenarioResult",
     "ServingChurnRecord",
     "ServingScenarioConfig",
     "ServingScenarioResult",
-    "StepRecord",
-    "run_autoscale_scenario",
-    "run_failover_scenario",
-    "run_live_reshard_scenario",
-    "run_scenario",
     "run_serving_scenario",
     "HashTableModule",
     "HotspotKeys",

@@ -5,7 +5,6 @@ import pytest
 
 from repro.control import (
     AutoscaleDecision,
-    AutoscalePolicy,
     Autoscaler,
     FleetState,
     ServerSpec,
@@ -108,6 +107,33 @@ class TestDecisions:
         nominated = list(decision.drain)
         assert nominated == sorted(loads, key=loads.get)[: len(nominated)]
 
+    def test_admissions_stop_at_max_servers(self):
+        fleet = FleetState([ServerSpec("a"), ServerSpec("b")])
+        plane = _plane_with(fleet, n_keys=400)
+        # ~160% utilization wants about five unit servers in all.
+        capacity = int(plane.total_bytes / (1.6 * 2))
+        capped = UtilizationPolicy(
+            capacity_bytes_per_weight=capacity, max_servers=3
+        )
+        decision = Autoscaler(capped).decide(plane, fleet)
+        assert decision.utilization > capped.upper
+        assert len(decision.add) == 1
+        full = UtilizationPolicy(
+            capacity_bytes_per_weight=capacity, max_servers=2
+        )
+        assert Autoscaler(full).decide(plane, fleet).is_noop
+
+    def test_no_drain_at_min_servers(self):
+        fleet = FleetState([ServerSpec("a"), ServerSpec("b")])
+        plane = _plane_with(fleet, n_keys=60)
+        policy = UtilizationPolicy(
+            capacity_bytes_per_weight=int(plane.total_bytes / (0.10 * 2)),
+            min_servers=2,
+        )
+        decision = Autoscaler(policy).decide(plane, fleet)
+        assert decision.utilization < policy.lower
+        assert decision.is_noop
+
     def test_suspect_servers_count_capacity_but_never_drain(self):
         fleet = FleetState([ServerSpec("a"), ServerSpec("b"), ServerSpec("c")])
         fleet.mark_suspect("a")
@@ -132,22 +158,6 @@ class TestDecisions:
         assert decision.add
         assert all(spec.weight == 4.0 for spec in decision.add)
         assert decision.add[0].server_id == "big-0"
-
-
-class TestLegacyPolicy:
-    """AutoscalePolicy moved here from the emulator; same behaviour."""
-
-    def test_importable_from_both_homes(self):
-        from repro.control.autoscale import AutoscalePolicy as from_control
-        from repro.emulator.scenario import AutoscalePolicy as from_emulator
-
-        assert from_control is from_emulator is AutoscalePolicy
-
-    def test_band_logic_unchanged(self):
-        policy = AutoscalePolicy(target_load=100.0)
-        assert policy.decide(1_000, 4) == 6  # 250/srv -> grow to 10
-        assert policy.decide(400, 4) == 0  # in band
-        assert policy.decide(100, 4) == -2  # 25/srv -> shrink to 2
 
 
 class TestDecisionDescribe:

@@ -154,6 +154,82 @@ class TestTick:
         for server_id in report.admitted:
             assert server_id in loop.fleet
 
+    @staticmethod
+    def _load_curve(algorithm):
+        """Two unit servers in band, a write burst, then most data gone.
+
+        Returns the burst tick's report, the server count after it, the
+        reports of the ticks that drained the fleet back down (one
+        drain per tick) with the reads that missed during those drains,
+        and the loop with the keys still stored.
+        """
+        fleet = FleetState([ServerSpec("a"), ServerSpec("b")])
+        router = Router(make_table(algorithm, seed=9))
+        plane = DataPlane(router)
+        loop = ControlLoop(router, plane, fleet, max_keys_per_tick=500)
+        loop.bootstrap()
+        base = np.arange(1_000, dtype=np.int64)
+        burst = np.arange(1_000, 4_000, dtype=np.int64)
+        plane.put_many(base, ["value-{:04d}".format(key) for key in base])
+        plane.track()
+        loop._autoscaler = Autoscaler(
+            UtilizationPolicy.sized_for(plane.total_bytes, 2.0, max_servers=16)
+        )
+        assert loop.tick().is_noop
+        plane.put_many(burst, ["value-{:04d}".format(key) for key in burst])
+        grown = loop.tick()
+        peak = router.server_count
+        kept = base[:250]
+        plane.delete_many(np.concatenate([base[250:], burst]))
+        misses = []
+
+        def on_tick(status):
+            __, found = plane.get_many(kept)
+            misses.append(int(np.sum(~found)))
+
+        shrunk = []
+        for __ in range(peak):
+            shrunk.append(loop.tick(on_migration_tick=on_tick))
+            if not shrunk[-1].pending_drains:
+                break
+        return grown, peak, shrunk, misses, loop, kept
+
+    @pytest.mark.parametrize("algorithm", ["weighted-rendezvous", "modular"])
+    def test_fleet_follows_load_up_and_down(self, algorithm):
+        """On a weight-native table and on a weight-blind one at unit
+        weights, a burst admits servers and deleting it drains them."""
+        grown, peak, shrunk, misses, loop, kept = self._load_curve(algorithm)
+        assert grown.admitted and grown.moved_keys > 0
+        assert peak == 2 + len(grown.admitted)
+        assert sum(len(report.drains) for report in shrunk) == peak - 2
+        assert not shrunk[-1].pending_drains
+        assert loop.router.server_count == 2
+        # Drains copy before they cut over: no read misses meanwhile.
+        assert misses and sum(misses) == 0
+        __, found = loop.plane.get_many(kept)
+        assert bool(np.all(found))
+        assert loop.plane.key_count == kept.size
+
+    def test_same_load_curve_same_decisions(self):
+        ticks, owners = [], []
+        for __ in range(2):
+            grown, __, shrunk, __, loop, kept = self._load_curve(
+                "weighted-rendezvous"
+            )
+            ticks.append(
+                [
+                    (
+                        report.admitted,
+                        [drain.spec for drain in report.drains],
+                        report.moved_keys,
+                    )
+                    for report in (grown, *shrunk)
+                ]
+            )
+            owners.append(loop.router.route_batch(kept))
+        assert ticks[0] == ticks[1]
+        assert np.array_equal(owners[0], owners[1])
+
     def test_dead_server_removed_and_data_rescued(self):
         fleet = FleetState(
             [ServerSpec("a"), ServerSpec("b"), ServerSpec("c")]

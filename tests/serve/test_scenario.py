@@ -73,6 +73,21 @@ class TestConfigVariants:
         assert result.invalidation_exact  # vacuously
         assert result.stale_reads == 0
 
+    def test_same_seed_same_churn(self):
+        # Batches close on the emulated arrival clock, not on measured
+        # service time, so the seed alone fixes what the cache holds
+        # when the epoch lands and what it evicts.
+        config = ServingScenarioConfig(
+            requests=600, preload=300, initial_servers=4, seed=3
+        )
+        runs = [
+            run_serving_scenario(lambda: make_table("consistent", seed=4), config)
+            for __ in range(2)
+        ]
+        assert runs[0].churn is not None and runs[0].churn.moved_keys > 0
+        assert runs[0].churn == runs[1].churn
+        assert runs[0].hit_rate_windows == runs[1].hit_rate_windows
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one request"):
             run_serving_scenario(

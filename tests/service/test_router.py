@@ -221,12 +221,15 @@ class TestRemapAccounting:
 
     def test_modular_remaps_more_than_consistent(self):
         probe = np.arange(4_000, dtype=np.uint64)
-        results = {}
-        for name in ("modular", "consistent"):
-            router = Router(make_table(name, seed=1), probe_keys=probe)
-            router.sync(range(8))
-            results[name] = router.sync(range(9)).record.remapped
-        assert results["modular"] > 2 * results["consistent"]
+        # A grow, and the removal of one server from the middle.
+        resizes = ((range(8), range(9)), (range(12), [*range(5), *range(6, 12)]))
+        for before, after in resizes:
+            results = {}
+            for name in ("modular", "consistent"):
+                router = Router(make_table(name, seed=1), probe_keys=probe)
+                router.sync(before)
+                results[name] = router.sync(after).record.remapped
+            assert results["modular"] > 2 * results["consistent"]
 
     def test_remap_accounting_ignores_avoid(self):
         """The avoid set is routing-level failover; the epoch bill and
