@@ -27,7 +27,6 @@ from .costmodel import DEFAULT_MACHINES, CostModel, MachineParameters
 from .emulator import (
     Emulator,
     HashTableModule,
-    HotspotKeys,
     RequestGenerator,
     UniformKeys,
     ZipfKeys,
@@ -45,7 +44,6 @@ from .errors import (
 from .hashfn import HashFamily
 from .hdc import (
     BasisSet,
-    CodebookEncoder,
     ItemMemory,
     PeriodicEncoder,
     circular_basis,
@@ -116,7 +114,6 @@ __all__ = [
     "BitErrorRate",
     "BurstError",
     "CapacityError",
-    "CodebookEncoder",
     "ConsistentHashTable",
     "CostModel",
     "DEFAULT_MACHINES",
@@ -130,7 +127,6 @@ __all__ = [
     "HashFamily",
     "HashTableModule",
     "HierarchicalHashTable",
-    "HotspotKeys",
     "ItemMemory",
     "JumpHashTable",
     "MachineParameters",

@@ -1,10 +1,9 @@
-"""Analysis utilities: chi-squared uniformity, load summaries, statistics,
-and the closed-form expectations the experiments are validated against."""
+"""Analysis utilities: chi-squared uniformity, load summaries, and the
+closed-form expectations the experiments are validated against."""
 
 from .chi_squared import chi_squared_statistic, chi_squared_test, uniformity_chi2
 from .loads import LoadSummary, remap_fraction, summarize_loads
 from .ownership import imbalance_from_fractions, ownership_fractions
-from .summary import MeanWithError, geometric_mean, mean_with_error
 from .theory import (
     expected_codebook_collisions,
     expected_consistent_chi2,
@@ -16,7 +15,6 @@ from .theory import (
 
 __all__ = [
     "LoadSummary",
-    "MeanWithError",
     "chi_squared_statistic",
     "chi_squared_test",
     "expected_codebook_collisions",
@@ -25,9 +23,7 @@ __all__ = [
     "expected_hd_chi2",
     "expected_rendezvous_chi2",
     "expected_rendezvous_mismatch",
-    "geometric_mean",
     "imbalance_from_fractions",
-    "mean_with_error",
     "ownership_fractions",
     "remap_fraction",
     "summarize_loads",

@@ -9,7 +9,7 @@ speaks *policy* over a heterogeneous fleet:
   weight, zone and health lifecycle (healthy / draining / suspect /
   dead), the directory every reconcile targets;
 * :class:`HealthMonitor` -- heartbeat deadlines driving
-  suspect/dead transitions, with observer hooks;
+  suspect/dead transitions, each returned to the caller;
 * :class:`Autoscaler` + :class:`UtilizationPolicy` -- scaling decisions
   from real byte accounting against weighted capacity;
 * :class:`ControlLoop` -- the reconciliation tick gluing it together:
@@ -49,7 +49,7 @@ from .autoscale import (
     Autoscaler,
     UtilizationPolicy,
 )
-from .health import HealthMonitor, HealthObserver, HealthTransition
+from .health import HealthMonitor, HealthTransition
 from .loop import ControlLoop, ControlTickReport, DrainReport
 from .spec import FleetState, Health, ServerSpec
 
@@ -62,7 +62,6 @@ __all__ = [
     "FleetState",
     "Health",
     "HealthMonitor",
-    "HealthObserver",
     "HealthTransition",
     "ServerSpec",
     "UtilizationPolicy",

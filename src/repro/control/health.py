@@ -15,7 +15,8 @@ and :meth:`HealthMonitor.poll` applies the deadline rules --
 Draining servers are exempt -- their departure is already planned --
 and dead is terminal (a recovered machine re-joins as a fresh spec).
 Time is injected (``clock``), so tests and the emulator drive
-deterministic timelines; observers get every transition.
+deterministic timelines; :meth:`HealthMonitor.poll` and
+:meth:`HealthMonitor.heartbeat` return every transition they make.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..errors import StateError
 from ..hashfn import Key
 from .spec import FleetState, Health
 
-__all__ = ["HealthTransition", "HealthObserver", "HealthMonitor"]
+__all__ = ["HealthTransition", "HealthMonitor"]
 
 
 class HealthTransition(NamedTuple):
@@ -39,13 +40,6 @@ class HealthTransition(NamedTuple):
     at: float
 
 
-class HealthObserver:
-    """Base class for health-event hooks; override what you need."""
-
-    def on_transition(self, transition: HealthTransition) -> None:
-        """The monitor changed a server's health state."""
-
-
 class HealthMonitor:
     """Deadline-based failure detector over a fleet directory."""
 
@@ -55,7 +49,6 @@ class HealthMonitor:
         suspect_after: float = 3.0,
         dead_after: float = 10.0,
         clock: Callable[[], float] = time.monotonic,
-        observers: Tuple[HealthObserver, ...] = (),
     ):
         if not 0 < suspect_after < dead_after:
             raise ValueError(
@@ -67,7 +60,6 @@ class HealthMonitor:
         self._suspect_after = float(suspect_after)
         self._dead_after = float(dead_after)
         self._clock = clock
-        self._observers: List[HealthObserver] = list(observers)
         self._last_beat: Dict[Key, float] = {}
 
     # -- introspection ----------------------------------------------------
@@ -85,10 +77,6 @@ class HealthMonitor:
     def dead_after(self) -> float:
         return self._dead_after
 
-    def last_heartbeat(self, server_id: Key) -> Optional[float]:
-        """When the server last beat (None before its first watch)."""
-        return self._last_beat.get(server_id)
-
     def forget(self, server_id: Key) -> None:
         """Drop a server's heartbeat state (call on directory removal).
 
@@ -100,19 +88,6 @@ class HealthMonitor:
         so removals outside the control loop heal at the next poll.
         """
         self._last_beat.pop(server_id, None)
-
-    # -- observers ---------------------------------------------------------
-
-    def subscribe(self, observer: HealthObserver) -> HealthObserver:
-        self._observers.append(observer)
-        return observer
-
-    def unsubscribe(self, observer: HealthObserver) -> None:
-        self._observers.remove(observer)
-
-    def _notify(self, transition: HealthTransition) -> None:
-        for observer in self._observers:
-            observer.on_transition(transition)
 
     # -- the detector ------------------------------------------------------
 
@@ -135,11 +110,7 @@ class HealthMonitor:
         self._last_beat[server_id] = at
         if spec.health is Health.SUSPECT:
             self._fleet.mark_healthy(server_id)
-            transition = HealthTransition(
-                server_id, Health.SUSPECT, Health.HEALTHY, at
-            )
-            self._notify(transition)
-            return transition
+            return HealthTransition(server_id, Health.SUSPECT, Health.HEALTHY, at)
         return None
 
     def poll(self, now: Optional[float] = None) -> Tuple[HealthTransition, ...]:
@@ -176,6 +147,4 @@ class HealthMonitor:
                         spec.server_id, Health.HEALTHY, Health.SUSPECT, at
                     )
                 )
-        for transition in transitions:
-            self._notify(transition)
         return tuple(transitions)

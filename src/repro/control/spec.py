@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from ..errors import DuplicateServerError, StateError, UnknownServerError
 from ..hashfn import Key
@@ -99,24 +99,6 @@ class ServerSpec:
                 )
             )
         return replace(self, health=health)
-
-    def to_state(self) -> Dict[str, Any]:
-        """A JSON-friendly snapshot of this spec."""
-        return {
-            "server_id": self.server_id,
-            "weight": self.weight,
-            "zone": self.zone,
-            "health": self.health.value,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "ServerSpec":
-        return cls(
-            server_id=state["server_id"],
-            weight=float(state.get("weight", 1.0)),
-            zone=str(state.get("zone", "")),
-            health=Health(state.get("health", "healthy")),
-        )
 
 
 class FleetState:
@@ -247,15 +229,3 @@ class FleetState:
         for spec in dead:
             del self._specs[spec.server_id]
         return dead
-
-    # -- persistence -------------------------------------------------------
-
-    def to_state(self) -> List[Dict[str, Any]]:
-        """JSON-friendly directory snapshot (spec order preserved)."""
-        return [spec.to_state() for spec in self._specs.values()]
-
-    @classmethod
-    def from_state(
-        cls, state: Iterable[Dict[str, Any]]
-    ) -> "FleetState":
-        return cls(ServerSpec.from_state(entry) for entry in state)

@@ -6,13 +6,7 @@ workload phases via each table's ``memory_regions()``.
 """
 
 from .buffer import DispatchUnit, RequestBuffer
-from .distributions import (
-    HotspotKeys,
-    KeyDistribution,
-    SequentialKeys,
-    UniformKeys,
-    ZipfKeys,
-)
+from .distributions import KeyDistribution, UniformKeys, ZipfKeys
 from .emulator import Emulator
 from .generator import RequestGenerator, server_names
 from .module import EmulationReport, HashTableModule
@@ -29,8 +23,7 @@ from .scenario import (
     ServingScenarioResult,
     run_serving_scenario,
 )
-from .stats import LoadStats, MembershipStats, TimingStats
-from .trace import load_trace, parse_trace_lines, save_trace, trace_lines
+from .stats import LoadStats, TimingStats
 
 __all__ = [
     "DispatchUnit",
@@ -41,24 +34,17 @@ __all__ = [
     "ServingScenarioResult",
     "run_serving_scenario",
     "HashTableModule",
-    "HotspotKeys",
     "JoinRequest",
     "KeyDistribution",
     "LeaveRequest",
     "LoadStats",
     "LookupBurst",
-    "MembershipStats",
     "LookupRequest",
     "Request",
     "RequestBuffer",
     "RequestGenerator",
-    "SequentialKeys",
     "TimingStats",
     "UniformKeys",
     "ZipfKeys",
-    "load_trace",
-    "parse_trace_lines",
-    "save_trace",
     "server_names",
-    "trace_lines",
 ]

@@ -44,11 +44,6 @@ class RequestBuffer:
         """Maximum lookup keys per emitted batch."""
         return self._batch_size
 
-    @property
-    def pending_lookups(self) -> int:
-        """Number of buffered lookup keys not yet emitted."""
-        return self._pending_count
-
     def _push_keys(self, keys: np.ndarray) -> None:
         if keys.size:
             self._pending.append(np.asarray(keys, dtype=np.uint64))

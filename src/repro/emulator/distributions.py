@@ -1,9 +1,9 @@
 """Request-key distributions for the workload generator.
 
 The efficiency and robustness experiments draw request identifiers
-uniformly; the load-balancing examples also exercise skewed traffic
-(Zipf-distributed popularity, hotspot bursts), which is the regime where
-per-server load actually matters in web caching.
+uniformly; the load-balancing example and the serving scenario also
+exercise skewed traffic (Zipf-distributed popularity), which is the
+regime where per-server load actually matters in web caching.
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "KeyDistribution",
-    "UniformKeys",
-    "ZipfKeys",
-    "HotspotKeys",
-    "SequentialKeys",
-]
+__all__ = ["KeyDistribution", "UniformKeys", "ZipfKeys"]
 
 
 class KeyDistribution:
@@ -72,38 +66,3 @@ class ZipfKeys(KeyDistribution):
         draws = rng.random(count)
         ranks = np.searchsorted(self._cdf, draws, side="right")
         return (ranks + self.offset).astype(np.uint64)
-
-
-@dataclass(frozen=True)
-class HotspotKeys(KeyDistribution):
-    """A fraction of traffic hammers a small set of hot keys.
-
-    With probability ``hot_fraction`` a request targets one of
-    ``hot_count`` fixed keys; otherwise it is uniform over ``space``.
-    """
-
-    hot_fraction: float = 0.9
-    hot_count: int = 8
-    space: int = 1 << 62
-
-    def __post_init__(self):
-        if not 0.0 <= self.hot_fraction <= 1.0:
-            raise ValueError("hot_fraction must be a probability")
-        if self.hot_count <= 0:
-            raise ValueError("hot_count must be positive")
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        uniform = rng.integers(0, self.space, size=count, dtype=np.uint64)
-        hot = rng.integers(0, self.hot_count, size=count, dtype=np.uint64)
-        is_hot = rng.random(count) < self.hot_fraction
-        return np.where(is_hot, hot, uniform)
-
-
-@dataclass(frozen=True)
-class SequentialKeys(KeyDistribution):
-    """Deterministic ascending keys (useful for exhaustive sweeps)."""
-
-    start: int = 0
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return np.arange(self.start, self.start + count, dtype=np.uint64)

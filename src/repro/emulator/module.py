@@ -17,9 +17,9 @@ Both paths produce identical assignments; only the timing differs.
 
 Membership requests are driven through the :class:`~repro.service.
 router.Router` facade, so every join/leave bumps the membership epoch
-and the module's stats collection observes the events (and, when the
-router tracks a probe set, per-epoch remap fractions) through the
-router's observer hooks.
+and lands in the router's history as an
+:class:`~repro.service.router.EpochRecord` (with per-epoch remap
+fractions when the router tracks a probe set).
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from typing import Iterable, List, Union
 import numpy as np
 
 from ..hashing.base import DynamicHashTable
-from ..service.router import EpochRecord, MembershipUpdate, Router, RouterObserver
+from ..service.router import MembershipUpdate, Router
 from .buffer import RequestBuffer
 from .requests import JoinRequest, LeaveRequest, Request
-from .stats import LoadStats, MembershipStats, TimingStats
+from .stats import LoadStats, TimingStats
 
 __all__ = ["HashTableModule", "EmulationReport"]
 
@@ -46,7 +46,6 @@ class EmulationReport:
     table_name: str
     timing: TimingStats = field(default_factory=TimingStats)
     load: LoadStats = field(default_factory=LoadStats)
-    membership: MembershipStats = field(default_factory=MembershipStats)
     assignments: List[np.ndarray] = field(default_factory=list)
 
     @property
@@ -60,22 +59,6 @@ class EmulationReport:
     def n_lookups(self) -> int:
         """Number of lookups served."""
         return self.timing.n_lookups
-
-
-class _StatsObserver(RouterObserver):
-    """Feeds router membership events into a report's stats."""
-
-    def __init__(self, stats: MembershipStats):
-        self._stats = stats
-
-    def on_join(self, server_id, epoch: int) -> None:
-        self._stats.record_join(epoch)
-
-    def on_leave(self, server_id, epoch: int) -> None:
-        self._stats.record_leave(epoch)
-
-    def on_remap(self, record: EpochRecord) -> None:
-        self._stats.record_epoch(record.epoch, record.remapped)
 
 
 class HashTableModule:
@@ -127,11 +110,9 @@ class HashTableModule:
         elif self._vectorized:
             assigned = table.lookup_batch(keys)
         else:
-            ids = table.server_ids
             assigned = np.empty(keys.size, dtype=object)
             for index, key in enumerate(keys):
                 assigned[index] = table.lookup(int(key))
-            del ids
         elapsed = time.perf_counter() - started
         report.timing.record_batch(elapsed, int(keys.size))
         report.load.record(assigned)
@@ -141,29 +122,17 @@ class HashTableModule:
     def process(self, requests: Iterable[Request]) -> EmulationReport:
         """Run a request stream to completion and report statistics."""
         report = EmulationReport(table_name=self._table.name)
-        observer = self._router.subscribe(_StatsObserver(report.membership))
-        try:
-            for unit in self._buffer.dispatch(requests):
-                if isinstance(unit, JoinRequest):
-                    result = self._router.apply(
-                        MembershipUpdate(joins=(unit.server_id,))
-                    )
-                    # mutate_seconds times only the table's own join, so
-                    # the facade's bookkeeping (validation, rollback
-                    # capture, probe accounting) does not pollute the
-                    # paper's membership-cost statistics.
-                    report.timing.record_membership(
-                        result.record.mutate_seconds
-                    )
-                elif isinstance(unit, LeaveRequest):
-                    result = self._router.apply(
-                        MembershipUpdate(leaves=(unit.server_id,))
-                    )
-                    report.timing.record_membership(
-                        result.record.mutate_seconds
-                    )
-                else:
-                    self._serve_batch(unit, report)
-        finally:
-            self._router.unsubscribe(observer)
+        for unit in self._buffer.dispatch(requests):
+            if isinstance(unit, JoinRequest):
+                result = self._router.apply(MembershipUpdate(joins=(unit.server_id,)))
+                # mutate_seconds times only the table's own join, so
+                # the facade's bookkeeping (validation, rollback
+                # capture, probe accounting) does not pollute the
+                # paper's membership-cost statistics.
+                report.timing.record_membership(result.record.mutate_seconds)
+            elif isinstance(unit, LeaveRequest):
+                result = self._router.apply(MembershipUpdate(leaves=(unit.server_id,)))
+                report.timing.record_membership(result.record.mutate_seconds)
+            else:
+                self._serve_batch(unit, report)
         return report

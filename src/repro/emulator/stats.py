@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["TimingStats", "LoadStats", "MembershipStats"]
+__all__ = ["TimingStats", "LoadStats"]
 
 
 @dataclass
@@ -61,46 +61,6 @@ class TimingStats:
 
 
 @dataclass
-class MembershipStats:
-    """Membership churn observed through the router facade.
-
-    Populated by the hash-table module's :class:`~repro.service.router.
-    RouterObserver` subscription: join/leave events and, when the router
-    tracks a probe set, the per-epoch remap fractions (the operational
-    churn bill).
-    """
-
-    n_joins: int = 0
-    n_leaves: int = 0
-    n_epochs: int = 0
-    last_epoch: int = 0
-    remap_fractions: List[float] = field(default_factory=list)
-
-    def record_join(self, epoch: int) -> None:
-        self.n_joins += 1
-        self.last_epoch = max(self.last_epoch, epoch)
-
-    def record_leave(self, epoch: int) -> None:
-        self.n_leaves += 1
-        self.last_epoch = max(self.last_epoch, epoch)
-
-    def record_epoch(self, epoch: int, remapped: float) -> None:
-        self.n_epochs += 1
-        self.last_epoch = max(self.last_epoch, epoch)
-        self.remap_fractions.append(float(remapped))
-
-    @property
-    def n_events(self) -> int:
-        """Total join + leave events."""
-        return self.n_joins + self.n_leaves
-
-    @property
-    def total_remapped(self) -> float:
-        """Sum of per-epoch remap fractions."""
-        return float(sum(self.remap_fractions))
-
-
-@dataclass
 class LoadStats:
     """Per-server assignment counts for a lookup stream."""
 
@@ -120,13 +80,6 @@ class LoadStats:
     def total(self) -> int:
         """Total recorded assignments."""
         return sum(self.counts.values())
-
-    def count_vector(self, server_ids: Tuple) -> np.ndarray:
-        """Counts aligned with an explicit server order (zeros included)."""
-        return np.asarray(
-            [self.counts.get(server_id, 0) for server_id in server_ids],
-            dtype=np.int64,
-        )
 
     def imbalance(self) -> float:
         """Max-to-mean load ratio (1.0 = perfectly even)."""

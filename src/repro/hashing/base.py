@@ -525,14 +525,10 @@ class DynamicHashTable(ABC):
         slots = self.route_word_replicas(self._family.word(key), k)
         return tuple(self._server_ids[int(slot)] for slot in slots)
 
-    def lookup_words_replicas(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Map pre-hashed words to ``(n, k)`` server identifiers."""
-        slots = self.route_replicas_batch(words, k)
-        return np.asarray(self._server_ids, dtype=object)[slots]
-
     def lookup_replicas_batch(self, keys: Sequence[Key], k: int) -> np.ndarray:
         """Map a key batch to ``(len(keys), k)`` server identifiers."""
-        return self.lookup_words_replicas(self.words_of_keys(keys), k)
+        slots = self.route_replicas_batch(self.words_of_keys(keys), k)
+        return np.asarray(self._server_ids, dtype=object)[slots]
 
     # -- snapshot / restore -------------------------------------------------
 

@@ -12,8 +12,6 @@ basis
     random-, level- and circular-hypervector sets (Algorithm 1, Fig. 2/3).
 item_memory
     associative memory realising HDC inference.
-encoding
-    ``Enc(x) = C[h(x) mod n]`` (Eq. 1).
 periodic
     periodic-data encoding on circular-hypervectors (Section 6).
 """
@@ -27,7 +25,6 @@ from .basis import (
     random_basis,
     transformation_flip_counts,
 )
-from .encoding import CodebookEncoder
 from .item_memory import ItemMemory
 from .operations import (
     bind,
@@ -62,18 +59,10 @@ from .similarity import (
     inverse_hamming,
     similarity_matrix,
 )
-from .structures import (
-    Vocabulary,
-    encode_record,
-    encode_sequence,
-    query_record,
-    sequence_similarity,
-)
 
 __all__ = [
     "BACKENDS",
     "BasisSet",
-    "CodebookEncoder",
     "ItemMemory",
     "PeriodicEncoder",
     "as_words",
@@ -107,10 +96,5 @@ __all__ = [
     "transformation_flip_counts",
     "unpack_bits",
     "validate_hypervector",
-    "Vocabulary",
-    "encode_record",
-    "encode_sequence",
-    "query_record",
-    "sequence_similarity",
     "words_per_row",
 ]

@@ -27,7 +27,6 @@ from .packing import (
     as_words,
     default_backend,
     hamming_packed,
-    hamming_words,
     nearest_rows_words,
     pack_bits,
     row_bytes,
@@ -156,18 +155,6 @@ class ItemMemory:
     def query(self, bits: np.ndarray) -> Tuple[int, Hashable, int]:
         """Nearest-row query with an unpacked {0,1} hypervector."""
         return self.query_packed(pack_bits(np.asarray(bits, dtype=np.uint8)))
-
-    def distances_words(self, query_words: np.ndarray) -> np.ndarray:
-        """Hamming distance from a ``uint64`` word query to every row."""
-        if not self._labels:
-            raise LookupError("item memory is empty")
-        return hamming_words(query_words, self.memory_words(), self._backend)
-
-    def query_words(self, query_words: np.ndarray) -> Tuple[int, Hashable, int]:
-        """Nearest-row query over a pre-viewed ``uint64`` word row."""
-        distances = self.distances_words(query_words)
-        index = int(np.argmin(distances))
-        return index, self._labels[index], int(distances[index])
 
     def query_batch_words(
         self, query_words: np.ndarray, chunk_bytes: Optional[int] = None

@@ -6,7 +6,7 @@ time, replay to rebuild), this package speaks a serving system's:
 * :class:`Router` -- facade wrapping any table with atomic bulk
   membership updates (:class:`MembershipUpdate`), declarative
   :meth:`Router.sync`, a monotonic membership epoch, per-epoch remap
-  accounting and :class:`RouterObserver` event hooks;
+  accounting and a per-epoch :class:`RouterObserver` hook;
 * :class:`ClusterRouter` -- the sharded cluster layer: S independent
   router shards partitioning the key space, fleet-wide declarative
   sync with cluster-level remap accounting, per-shard epochs and

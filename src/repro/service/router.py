@@ -22,8 +22,9 @@ surface:
   epoch record -- :meth:`apply` returns an :class:`EpochResult`
   ``(record, plan)`` pair, both derived from the *same* assignment
   diff, so the accounting and the data movement can never disagree;
-* :class:`RouterObserver` hooks for join/leave/remap events, which the
-  emulator's stats collection plugs into.
+* a :class:`RouterObserver` hook called once per closed epoch with its
+  :class:`EpochResult`, which the serving tier's cache invalidator
+  plugs into.
 
 The serving contract -- reads fail over around avoided servers, writes
 land at the assigned owner -- is written once, in :class:`_RoutingSurface`,
@@ -223,10 +224,6 @@ class MembershipUpdate:
         """Explicit per-join weights as a mapping."""
         return dict(self.weights)
 
-    def weight_of(self, server_id: Key) -> Optional[float]:
-        """The declared join weight for ``server_id`` (None = default)."""
-        return self.join_weights.get(server_id)
-
 
 def _record_from_state(state: Dict[str, Any]) -> "EpochRecord":
     """Rebuild an :class:`EpochRecord` from its ``asdict`` snapshot."""
@@ -280,22 +277,14 @@ class EpochResult(NamedTuple):
 
 
 class RouterObserver:
-    """Base class for router event hooks; override what you need."""
-
-    def on_join(self, server_id: Key, epoch: int) -> None:
-        """A server joined during the mutation batch closing ``epoch``."""
-
-    def on_leave(self, server_id: Key, epoch: int) -> None:
-        """A server left during the mutation batch closing ``epoch``."""
-
-    def on_remap(self, record: EpochRecord) -> None:
-        """An epoch closed; ``record`` carries its remap accounting."""
+    """Base class for the router's one event hook, called per epoch."""
 
     def on_epoch(self, result: "EpochResult") -> None:
-        """An epoch closed; ``result`` carries the record *and* the
-        migration plan naming exactly the tracked keys the epoch
-        rerouted -- the hook an epoch-invalidated cache uses to evict
-        precisely the remapped keys instead of flushing."""
+        """An epoch closed; ``result`` carries the record (who joined
+        and left, the remap accounting) *and* the migration plan naming
+        exactly the tracked keys the epoch rerouted -- the hook an
+        epoch-invalidated cache uses to evict precisely the remapped
+        keys instead of flushing."""
 
 
 class _RoutingSurface:
@@ -624,12 +613,6 @@ class Router(_RoutingSurface):
         mutate_seconds = time.perf_counter() - started
         self._avoided -= set(update.leaves)
         self._epoch += 1
-        for server_id in update.leaves:
-            for observer in self._observers:
-                observer.on_leave(server_id, self._epoch)
-        for server_id in update.joins:
-            for observer in self._observers:
-                observer.on_join(server_id, self._epoch)
         delta = self._delta.close(joined=update.joins, left=update.leaves)
         record = EpochRecord(
             epoch=self._epoch,
@@ -644,7 +627,6 @@ class Router(_RoutingSurface):
         self._history.append(record)
         result = EpochResult(record=record, plan=plan)
         for observer in self._observers:
-            observer.on_remap(record)
             observer.on_epoch(result)
         return result
 

@@ -1,4 +1,4 @@
-"""Tests for chi-squared, load summaries and statistics helpers."""
+"""Tests for chi-squared and load summaries."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.analysis import (
     chi_squared_statistic,
     chi_squared_test,
-    geometric_mean,
-    mean_with_error,
     remap_fraction,
     summarize_loads,
     uniformity_chi2,
@@ -85,27 +83,3 @@ class TestLoads:
             summarize_loads(np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError):
             remap_fraction(np.zeros(2), np.zeros(3))
-
-
-class TestSummary:
-    def test_mean_with_error(self):
-        stats = mean_with_error([1.0, 2.0, 3.0])
-        assert stats.mean == pytest.approx(2.0)
-        assert stats.count == 3
-        low, high = stats.interval()
-        assert low < 2.0 < high
-
-    def test_single_sample_zero_error(self):
-        stats = mean_with_error([5.0])
-        assert stats.std_error == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_mean_with_error_empty(self):
-        with pytest.raises(ValueError):
-            mean_with_error([])

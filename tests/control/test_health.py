@@ -1,14 +1,8 @@
-"""HealthMonitor: heartbeat deadlines, transitions, observer hooks."""
+"""HealthMonitor: heartbeat deadlines and the transitions they return."""
 
 import pytest
 
-from repro.control import (
-    FleetState,
-    Health,
-    HealthMonitor,
-    HealthObserver,
-    ServerSpec,
-)
+from repro.control import FleetState, Health, HealthMonitor, ServerSpec
 from repro.errors import StateError
 
 
@@ -85,31 +79,69 @@ class TestDeadlines:
             monitor.heartbeat("a", now=21.0)
 
 
-class TestObservers:
-    def test_observer_sees_every_transition(self):
+class TestTransitions:
+    def test_every_transition_returned_once(self):
+        """What ``poll()`` and ``heartbeat()`` return, concatenated, is
+        every health change the fleet went through, each exactly once."""
         fleet = _fleet()
         monitor = _monitor(fleet)
-        seen = []
-
-        class Recorder(HealthObserver):
-            def on_transition(self, transition):
-                seen.append(
-                    (transition.server_id, transition.current)
-                )
-
-        monitor.subscribe(Recorder())
+        returned = []
         monitor.heartbeat("a", now=0.0)
-        monitor.poll(now=4.0)
-        monitor.heartbeat("a", now=4.5)
-        assert seen == [
-            ("a", Health.SUSPECT),
-            ("a", Health.HEALTHY),
+        returned += monitor.poll(now=4.0)  # b and c start their grace here
+        returned += monitor.poll(now=4.0)  # nothing new to report
+        returned.append(monitor.heartbeat("a", now=4.5))
+        returned += monitor.poll(now=8.0)
+        returned += monitor.poll(now=14.5)
+        assert [
+            (t.server_id, t.previous, t.current, t.at) for t in returned
+        ] == [
+            ("a", Health.HEALTHY, Health.SUSPECT, 4.0),
+            ("a", Health.SUSPECT, Health.HEALTHY, 4.5),
+            ("a", Health.HEALTHY, Health.SUSPECT, 8.0),
+            ("b", Health.HEALTHY, Health.SUSPECT, 8.0),
+            ("c", Health.HEALTHY, Health.SUSPECT, 8.0),
+            ("a", Health.SUSPECT, Health.DEAD, 14.5),
+            ("b", Health.SUSPECT, Health.DEAD, 14.5),
+            ("c", Health.SUSPECT, Health.DEAD, 14.5),
+        ]
+        assert monitor.poll(now=100.0) == ()
+
+    def test_clock_stamps_transitions_without_now(self):
+        now = [0.0]
+        fleet = _fleet()
+        monitor = _monitor(fleet, clock=lambda: now[0])
+        monitor.heartbeat("a")
+        now[0] = 3.5
+        transitions = monitor.poll()
+        assert {(t.server_id, t.at) for t in transitions} == {("a", 3.5)}
+        now[0] = 4.0
+        recovery = monitor.heartbeat("a")
+        assert (recovery.current, recovery.at) == (Health.HEALTHY, 4.0)
+
+    def test_forget_restarts_the_grace_period(self):
+        """A server re-admitted under its old id after ``forget`` gets
+        the first-watch grace period, not its stale deadline."""
+        fleet = FleetState([ServerSpec("a")])
+        monitor = _monitor(fleet)
+        monitor.heartbeat("a", now=0.0)
+        fleet.remove("a")
+        monitor.forget("a")
+        fleet.add(ServerSpec("a"))
+        assert monitor.poll(now=20.0) == ()
+        assert fleet.get("a").health is Health.HEALTHY
+        transitions = monitor.poll(now=23.0)
+        assert [(t.server_id, t.current) for t in transitions] == [
+            ("a", Health.SUSPECT)
         ]
 
-    def test_unsubscribe(self):
-        monitor = _monitor(_fleet())
-        observer = HealthObserver()
-        monitor.subscribe(observer)
-        monitor.unsubscribe(observer)
-        with pytest.raises(ValueError):
-            monitor.unsubscribe(observer)
+    def test_poll_prunes_servers_removed_from_the_fleet(self):
+        """A removal outside the monitor heals at the next poll: the
+        re-admitted server starts a fresh grace period there."""
+        fleet = FleetState([ServerSpec("a")])
+        monitor = _monitor(fleet)
+        monitor.heartbeat("a", now=0.0)
+        fleet.remove("a")
+        assert monitor.poll(now=1.0) == ()
+        fleet.add(ServerSpec("a"))
+        assert monitor.poll(now=20.0) == ()
+        assert fleet.get("a").health is Health.HEALTHY

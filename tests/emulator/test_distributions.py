@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.emulator import HotspotKeys, SequentialKeys, UniformKeys, ZipfKeys
+from repro.emulator import UniformKeys, ZipfKeys
 
 
 class TestUniform:
@@ -43,28 +43,3 @@ class TestZipf:
             ZipfKeys(universe=0)
         with pytest.raises(ValueError):
             ZipfKeys(exponent=0.0)
-
-
-class TestHotspot:
-    def test_hot_traffic_fraction(self, rng):
-        dist = HotspotKeys(hot_fraction=0.8, hot_count=4)
-        keys = dist.sample(20_000, rng)
-        hot = (keys < 4).mean()
-        assert 0.75 < hot < 0.85
-
-    def test_all_cold(self, rng):
-        dist = HotspotKeys(hot_fraction=0.0, hot_count=4, space=1 << 40)
-        keys = dist.sample(5_000, rng)
-        assert (keys >= 4).mean() > 0.99
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            HotspotKeys(hot_fraction=1.5)
-        with pytest.raises(ValueError):
-            HotspotKeys(hot_count=0)
-
-
-class TestSequential:
-    def test_ascending(self, rng):
-        keys = SequentialKeys(start=5).sample(10, rng)
-        assert keys.tolist() == list(range(5, 15))

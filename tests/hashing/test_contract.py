@@ -58,6 +58,28 @@ class TestMembership:
         assert len(table) == 3
         assert "3" in repr(table)
 
+    def test_identifier_types_preserved(self, name):
+        """A str, int or bytes server id comes back unchanged -- value
+        and type -- from membership and from every lookup."""
+        ids = ("name", 42, b"\x00\xff")
+        table = _build(name)
+        for server_id in ids:
+            table.join(server_id)
+        assert table.server_ids == ids
+        assert [type(server_id) for server_id in table.server_ids] == [
+            str,
+            int,
+            bytes,
+        ]
+        typed = {(type(server_id), server_id) for server_id in ids}
+        assigned = table.lookup_batch(np.arange(300, dtype=np.uint64))
+        assert {(type(owner), owner) for owner in assigned} <= typed
+        for key in ("a", 7, b"k"):
+            owner = table.lookup(key)
+            assert (type(owner), owner) in typed
+        table.leave(b"\x00\xff")
+        assert table.server_ids == ("name", 42)
+
 
 @pytest.mark.parametrize("name", registered_algorithms())
 class TestLookups:

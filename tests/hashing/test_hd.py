@@ -34,6 +34,26 @@ class TestEncoding:
             distances = hamming_packed(query, memory, table.item_memory.backend)
             assert table.route_word(int(word)) == int(np.argmin(distances))
 
+    def test_words_congruent_mod_n_route_alike(self, request_words):
+        """Eq. 1 reads a word only through ``word % n``."""
+        table = populate(_table(), 10)
+        n = table.codebook_size
+        words = request_words[:500] % np.uint64(2**40)
+        shifted = words + np.uint64(n) * np.arange(1, 501, dtype=np.uint64)
+        assert np.array_equal(table.route_batch(words), table.route_batch(shifted))
+        assert np.array_equal(
+            table.infer_batch(words)[0], table.infer_batch(shifted)[0]
+        )
+
+    def test_server_row_is_its_codebook_row(self):
+        """A joined server stores codebook row ``position_of(server)``."""
+        table = populate(_table(), 10)
+        memory = table.item_memory.memory_view()
+        packed = table.codebook.packed()
+        for slot, server in enumerate(table.server_ids):
+            position = table.position_of(server)
+            assert np.array_equal(memory[slot], packed[position])
+
     def test_request_on_server_node_routes_to_that_server(self):
         table = populate(_table(), 10)
         for server in table.server_ids:

@@ -18,7 +18,6 @@ from repro.hashfn import HashFamily
 from repro.hashing import DynamicHashTable, HDHashTable, make_table
 from repro.hdc import (
     BasisSet,
-    CodebookEncoder,
     circular_basis,
     circular_hypervectors,
     flipped,
@@ -273,15 +272,6 @@ class TestSnapshots:
 
 
 class TestWhatIsBuiltOnABasis:
-    def test_codebook_encoder(self):
-        vectors = reference_circular(64, 300, np.random.default_rng(4))
-        encoder = CodebookEncoder(BasisSet("circular", vectors), HashFamily(seed=2))
-        for key in ("x", "server-3", 41):
-            position = encoder.position(key)
-            assert np.array_equal(encoder.encode(key), vectors[position])
-            packed = pack_bits(vectors[position])
-            assert np.array_equal(encoder.encode_packed(key), packed)
-
     def test_periodic_encoder(self):
         encoder = PeriodicEncoder(24.0, 24, 2_048, np.random.default_rng(6))
         vectors = reference_circular(24, 2_048, np.random.default_rng(6))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import DuplicateServerError, UnknownServerError
+from repro.errors import CapacityError, DuplicateServerError, UnknownServerError
 from repro.hashing import make_table
 from repro.service import MembershipUpdate, Router, RouterObserver
 
@@ -69,8 +69,6 @@ class TestApply:
         assert len(router.history) == 1
 
     def test_mid_batch_capacity_failure_rolls_back_atomically(self):
-        from repro.errors import CapacityError
-
         # A 4-node circle can hold at most 4 servers, so the fifth join
         # of the batch fails *after* earlier joins already mutated.
         router = Router(make_table("hd", seed=1, dim=64, codebook_size=4))
@@ -167,33 +165,26 @@ class TestObservers:
         events = []
 
         class Recorder(RouterObserver):
-            def on_join(self, server_id, epoch):
-                events.append(("join", server_id, epoch))
-
-            def on_leave(self, server_id, epoch):
-                events.append(("leave", server_id, epoch))
-
-            def on_remap(self, record):
-                events.append(("epoch", record.epoch, record.server_count))
+            def on_epoch(self, result):
+                record = result.record
+                events.append(
+                    (record.joined, record.left, record.epoch, record.server_count)
+                )
 
         router = consistent_router(observers=[Recorder()])
         router.sync(["a", "b"])
         router.sync(["b", "c"])
         assert events == [
-            ("join", "a", 1),
-            ("join", "b", 1),
-            ("epoch", 1, 2),
-            ("leave", "a", 2),
-            ("join", "c", 2),
-            ("epoch", 2, 2),
+            (("a", "b"), (), 1, 2),
+            (("c",), ("a",), 2, 2),
         ]
 
     def test_subscribe_unsubscribe(self):
         seen = []
 
         class Counter(RouterObserver):
-            def on_remap(self, record):
-                seen.append(record.epoch)
+            def on_epoch(self, result):
+                seen.append(result.record.epoch)
 
         router = consistent_router()
         observer = router.subscribe(Counter())
@@ -201,6 +192,90 @@ class TestObservers:
         router.unsubscribe(observer)
         router.sync(["a", "b"])
         assert seen == [1]
+
+    def test_observer_receives_the_result_apply_returns(self):
+        seen = []
+
+        class Recorder(RouterObserver):
+            def on_epoch(self, result):
+                seen.append(result)
+
+        probe = np.arange(2_000, dtype=np.uint64)
+        router = consistent_router(probe_keys=probe, observers=[Recorder()])
+        first = router.sync(["a", "b", "c"])
+        second = router.apply(MembershipUpdate(joins=("d",), leaves=("a",)))
+        assert len(seen) == 2
+        assert seen[0] is first and seen[1] is second
+        assert second.plan.total_keys == second.record.probes_moved > 0
+
+    def test_every_observer_once_per_epoch_in_order(self):
+        calls = []
+
+        class Tagged(RouterObserver):
+            def __init__(self, tag):
+                self.tag = tag
+
+            def on_epoch(self, result):
+                calls.append((self.tag, result.record.epoch))
+
+        router = consistent_router(observers=[Tagged("first")])
+        router.subscribe(Tagged("second"))
+        router.apply(MembershipUpdate(joins=("a", "b", "c")))
+        router.apply(MembershipUpdate(joins=("d",), leaves=("a", "b")))
+        assert calls == [
+            ("first", 1),
+            ("second", 1),
+            ("first", 2),
+            ("second", 2),
+        ]
+
+    def test_no_epoch_no_event(self):
+        seen = []
+
+        class Counter(RouterObserver):
+            def on_epoch(self, result):
+                seen.append(result.record.epoch)
+
+        router = consistent_router(observers=[Counter()])
+        router.sync(["a", "b"])
+        assert router.sync(["b", "a"]) is None
+        assert router.apply(MembershipUpdate()) is None
+        with pytest.raises(UnknownServerError):
+            router.apply(MembershipUpdate(leaves=("ghost",)))
+        with pytest.raises(DuplicateServerError):
+            router.apply(MembershipUpdate(joins=("a",)))
+        assert seen == [1]
+        assert router.epoch == 1
+
+    def test_rolled_back_batch_fires_nothing(self):
+        """A batch that fails mid-mutation rolls back without an event."""
+        seen = []
+
+        class Counter(RouterObserver):
+            def on_epoch(self, result):
+                seen.append(result.record.epoch)
+
+        table = make_table("hd", seed=1, dim=256, codebook_size=4)
+        router = Router(table, observers=[Counter()])
+        router.sync(["a", "b", "c"])
+        with pytest.raises(CapacityError):
+            router.apply(MembershipUpdate(joins=("d", "e")))
+        assert seen == [1]
+        assert router.epoch == 1
+        assert router.server_ids == ("a", "b", "c")
+
+    def test_restored_router_notifies_its_observers(self):
+        seen = []
+
+        class Recorder(RouterObserver):
+            def on_epoch(self, result):
+                seen.append((result.record.epoch, result.record.joined))
+
+        router = consistent_router()
+        router.sync(["a", "b"])
+        restored = Router.restore(router.snapshot(), observers=[Recorder()])
+        restored.sync(["a", "b", "c"])
+        assert seen == [(2, ("c",))]
 
 
 class TestRemapAccounting:

@@ -20,6 +20,7 @@ MODULES = [
     "repro.hdc",
     "repro.memory",
     "repro.perf",
+    "repro.serve",
     "repro.service",
     "repro.service.migration",
     "repro.store",
