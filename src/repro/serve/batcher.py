@@ -41,7 +41,7 @@ import time
 from collections import deque, namedtuple
 from itertools import compress, repeat, starmap
 from operator import itemgetter
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +68,10 @@ DEFAULT_MAX_DELAY = 0.001
 _OPS = ("get", "put", "delete")
 
 #: C-level field getters for mapping over a batch of :class:`Request`.
-_KEY, _VALUE, _FUTURE, _ENQUEUED = map(itemgetter, range(1, 5))
+_OP, _KEY, _VALUE, _FUTURE, _ENQUEUED = map(itemgetter, range(5))
+
+#: Runs an iterator to its end in C, keeping nothing.
+_consume = deque(maxlen=0).extend
 
 
 def _unknown_op(op: str) -> ValueError:
@@ -81,6 +84,10 @@ class Request(namedtuple("Request", "op key value future enqueued_at")):
     A tuple: a saturated front-end builds one per request, and
     :meth:`MicroBatcher.submit` (which has validated ``op`` already)
     builds it with ``tuple.__new__``, skipping this constructor's check.
+    Not a plain tuple: CPython takes those from its tuple free list,
+    which the cyclic collector's allocation count never sees, and with
+    plain tuples the request path ran a generation-0 collection about
+    once per thousand requests (``benchmarks/perf/test_request_path_gc.py``).
     """
 
     __slots__ = ()
@@ -141,6 +148,7 @@ class MicroBatcher:
         self._queue: deque = deque()
         self._running = False
         self._stop_requested = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._arrival: Optional[asyncio.Event] = None
         self._burst: Optional[asyncio.Event] = None
         # True only while run() awaits ``_arrival`` (empty queue) or
@@ -253,23 +261,27 @@ class MicroBatcher:
     def dispatch(self, batch: Sequence[Request]) -> None:
         """Serve one flushed micro-batch and resolve its futures.
 
-        One pass partitions the batch by op and :meth:`serve` serves
-        all three op classes at once, in the documented order: every
-        read observes the pre-batch state, then deletes apply, then
-        puts.  Futures resolve in one slot-aligned loop per op (a
-        cancelled future is skipped; its batch-mates still resolve),
-        and the whole batch's latencies are one vectorized subtract
-        into :meth:`~repro.serve.metrics.ServingMetrics.observe_latencies`.
+        The batch splits by op in C: one ``map`` reads every op and one
+        ``list.count`` finds an all-get batch, which is served whole; a
+        mixed batch is dealt into its op classes in one ``list.append``
+        sweep.  :meth:`serve` serves all three op classes at once, in
+        the documented order: every read observes the pre-batch state,
+        then deletes apply, then puts.  Futures resolve in one
+        slot-aligned loop per op (a cancelled future is skipped; its
+        batch-mates still resolve), and the whole batch's latencies are
+        one vectorized subtract into
+        :meth:`~repro.serve.metrics.ServingMetrics.observe_latencies`.
         """
         if not batch:
             return
         started = self._clock()
-        gets: List[Request] = []
-        deletes: List[Request] = []
-        puts: List[Request] = []
-        buckets = {"get": gets.append, "delete": deletes.append, "put": puts.append}
-        for request in batch:
-            buckets[request[0]](request)
+        ops = list(map(_OP, batch))
+        if ops.count("get") == len(ops):
+            gets, deletes, puts = batch, (), ()
+        else:
+            gets, deletes, puts = [], [], []
+            classes = {"get": gets, "delete": deletes, "put": puts}
+            _consume(map(list.append, map(classes.__getitem__, ops), batch))
         values, found, deleted, owners = self.serve(
             list(map(_KEY, gets)),
             list(map(_KEY, deletes)),
@@ -329,16 +341,23 @@ class MicroBatcher:
     def submit(self, op: str, key: Key, value: Any = None) -> "asyncio.Future":
         """Enqueue one operation now; the future resolves at batch dispatch.
 
-        Must be called from a running event loop.  An unknown ``op``
-        raises ``ValueError`` and enqueues nothing.  Resolution values:
+        Must be called on the loop that runs :meth:`run` while it runs,
+        or from any running event loop while none does (outside one it
+        raises ``RuntimeError``).  An unknown ``op`` raises
+        ``ValueError`` and enqueues nothing.  Resolution values:
         ``get`` -> ``(found, value)``, ``put`` -> owning server id,
         ``delete`` -> deleted bool.
         """
         if op not in _OPS:
             raise _unknown_op(op)
+        # The flush loop's own loop, recorded once per run(): on CPython
+        # 3.10-3.11 ``get_running_loop()`` makes a getpid() syscall.
+        loop = self._loop
+        if loop is None:
+            loop = asyncio.get_running_loop()
         # What the default loop's ``create_future()`` builds, minus its
         # Python frame: this line runs once per request.
-        future = asyncio.Future(loop=asyncio.get_running_loop())
+        future = asyncio.Future(loop=loop)
         queue = self._queue
         queue.append(tuple.__new__(Request, (op, key, value, future, self._clock())))
         if self._parked:
@@ -354,6 +373,7 @@ class MicroBatcher:
         if self._running:
             raise RuntimeError("batcher is already running")
         self._running = True
+        self._loop = asyncio.get_running_loop()
         self._arrival = asyncio.Event()
         self._burst = asyncio.Event()
         queue = self._queue
@@ -385,6 +405,7 @@ class MicroBatcher:
             self._running = False
             self._stop_requested = False
             self._parked = self._timing = False
+            self._loop = None
             self._arrival = None
             self._burst = None
 

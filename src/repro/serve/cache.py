@@ -128,6 +128,12 @@ class HotKeyCache:
         one membership sweep and a :meth:`_take` of its hits.  Misses
         carry ``default`` in ``values``.  Counter accounting matches the
         scalar loop: one hit or miss per position.
+
+        The all-hit :meth:`_take` is tried first, although a batch with
+        a miss pays for the attempt before its sweep: with 4,096
+        resident int keys, sweeping first made a 256-key all-hit batch
+        cost 1.3-1.5x (24.6 -> 36.0 us) and a 230-key batch at 80% hits
+        or a 180-key batch at 0.4% hits no cheaper beyond noise.
         """
         n = len(keys)
         if n == 0:

@@ -21,8 +21,8 @@ stay inside this module.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, repeat
-from operator import is_, is_not, itemgetter, setitem
+from itertools import chain, compress, repeat
+from operator import is_, is_not, itemgetter, not_, setitem
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -519,31 +519,42 @@ class _Runs:
 
 
 def _put_deltas(
-    keys: Sequence[Key], values: Sequence[Any], olds: Sequence[Any]
-) -> np.ndarray:
-    """Each put's net change to its store's bytes, in batch order.
+    keys: Sequence[Key], values: Sequence[Any], olds: Sequence[Any], owners: List[int]
+) -> Iterable[Tuple[int, int]]:
+    """The key-by-key put pass's byte changes, as ``(owner, delta)`` pairs.
 
-    ``olds[i]`` is what ``keys[i]`` held before the batch's puts
-    (:data:`MISSING` when absent).  A new key charges its key and
-    value; an overwrite charges its value and releases the old one (the
-    key's bytes cancel).  A key put twice counts once, at its last put:
-    sequentially every earlier put's charge is released by the next,
-    so the sum over the batch is the same.
+    ``olds[i]`` is what ``keys[i]`` held at store ``owners[i]`` before
+    the batch's puts (:data:`MISSING` when absent).  A new key charges
+    its key and value; an overwrite charges its value and releases the
+    old one (the key's bytes cancel).  A key put twice counts once, at
+    its last put: sequentially every earlier put's charge is released
+    by the next, so the sum over the batch is the same.  When the keys,
+    values and replaced values all pass :func:`is_numeric_batch`, every
+    pair costs 16 bytes, so only the new keys charge and no object is
+    priced.
     """
+    fresh = list(map(is_, olds, repeat(_MISSING)))
+    if (
+        is_numeric_batch(keys)
+        and is_numeric_batch(values)
+        and is_numeric_batch(list(compress(olds, map(not_, fresh))))
+    ):
+        grown = dict(zip(compress(keys, fresh), compress(owners, fresh)))
+        return zip(grown.values(), repeat(16))
     n = len(keys)
-    fresh = np.fromiter(map(is_, olds, repeat(_MISSING)), bool, n)
     # One pricing pass over all three; an absent old value prices as
     # ``None``, at 0 bytes.
     replaced = [None if old is _MISSING else old for old in olds]
     key_costs, value_costs, old_costs = np.array(
         _costs([*keys, *values, *replaced]), dtype=np.int64
     ).reshape(3, n)
-    deltas = value_costs - old_costs + key_costs * fresh
+    deltas = value_costs - old_costs + key_costs * np.array(fresh)
     if len(set(keys)) < n:
         last = np.zeros(n, dtype=bool)
         last[list(dict(zip(keys, range(n))).values())] = True
         deltas[~last] = 0
-    return deltas
+    changed = np.flatnonzero(deltas).tolist()
+    return zip(map(owners.__getitem__, changed), deltas[changed].tolist())
 
 
 class FleetStores:
@@ -641,16 +652,19 @@ class FleetStores:
         if runs is None:
             keys = _listed(keys)
             popped = list(map(dict.pop, self._rows(index), keys, repeat(_MISSING)))
-            deleted = np.fromiter(map(is_not, popped, repeat(_MISSING)), bool, n)
-            hits = np.flatnonzero(deleted).tolist()
-            if hits:
-                released = np.add(
-                    _costs([keys[position] for position in hits]),
-                    _costs([popped[position] for position in hits]),
-                )
-                for owner, nbytes in zip(index[hits].tolist(), released.tolist()):
+            hit = list(map(is_not, popped, repeat(_MISSING)))
+            if True in hit:
+                removed_keys = list(compress(keys, hit))
+                removed_values = list(compress(popped, hit))
+                if is_numeric_batch(removed_keys) and is_numeric_batch(removed_values):
+                    released = repeat(16)
+                else:
+                    released = np.add(
+                        _costs(removed_keys), _costs(removed_values)
+                    ).tolist()
+                for owner, nbytes in zip(compress(index.tolist(), hit), released):
                     stores[owner]._nbytes -= nbytes
-            return deleted
+            return np.fromiter(hit, bool, n)
         popped = []
         for owner, chunk in zip(runs.owners, runs.split(keys)):
             run_popped, removed, released = _pop_keys(self._items[owner], chunk)
@@ -671,9 +685,7 @@ class FleetStores:
             rows = self._rows(index)
             olds = list(map(dict.get, rows, keys, repeat(_MISSING)))
             _consume(map(setitem, rows, keys, values))
-            deltas = _put_deltas(keys, values, olds)
-            changed = np.flatnonzero(deltas)
-            for owner, delta in zip(index[changed].tolist(), deltas[changed].tolist()):
+            for owner, delta in _put_deltas(keys, values, olds, index.tolist()):
                 stores[owner]._nbytes += delta
             return
         # Priced once: an all-numeric batch (every key and value a

@@ -25,6 +25,30 @@ def build_batcher(**kwargs):
     return MicroBatcher(plane, **kwargs), plane
 
 
+def dispatch_by_partition_loop(batcher, batch):
+    """The reference dispatch: partition request by request, then serve."""
+    gets, deletes, puts = [], [], []
+    buckets = {"get": gets.append, "delete": deletes.append, "put": puts.append}
+    for request in batch:
+        buckets[request.op](request)
+    values, found, deleted, owners = batcher.serve(
+        [request.key for request in gets],
+        [request.key for request in deletes],
+        [request.key for request in puts],
+        [request.value for request in puts],
+    )
+    results = [*zip(found.tolist(), values.tolist()), *deleted.tolist()]
+    results += owners.tolist()
+    for request, result in zip(gets + deletes + puts, results):
+        if not request.future.done():
+            request.future.set_result(result)
+
+
+def future_end(future):
+    """How a future ended: cancelled, or its result."""
+    return "cancelled" if future.cancelled() else future.result()
+
+
 class TestRequest:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown op"):
@@ -203,6 +227,50 @@ class TestBatchSemantics:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dispatch_resolves_as_the_per_request_partition(self, seed):
+        # Random batches -- all gets now and then, every op class with
+        # repeated keys otherwise, some futures cancelled -- through
+        # dispatch and through the per-request partition loop it
+        # replaced, on twin batchers: every future ends the same.
+        rng = random.Random(seed)
+        universe = ["k{}".format(index) for index in range(40)]
+        mixes = [(1, 0, 0), (0.7, 0.25, 0.05), (0.2, 0.4, 0.4), (0, 1, 0), (0, 0, 1)]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            twins = [build_batcher(cache=HotKeyCache(16)) for __ in range(2)]
+            for __, plane in twins:
+                plane.put_many(universe[::2], list(range(20)))
+            for step in range(30):
+                size = rng.randint(1, 80)
+                ops = rng.choices(("get", "put", "delete"), mixes[step % 5], k=size)
+                keys = [rng.choice(universe) for __ in ops]
+                values = [rng.randrange(1_000) if op == "put" else None for op in ops]
+                cancelled = [rng.random() < 0.2 for __ in ops]
+                ends = []
+                for (batcher, __), serve in zip(twins, ("dispatch", "reference")):
+                    batch = [
+                        Request(op, key, value, loop.create_future())
+                        for op, key, value in zip(ops, keys, values)
+                    ]
+                    for request, cancel in zip(batch, cancelled):
+                        if cancel:
+                            request.future.cancel()
+                    if serve == "dispatch":
+                        batcher.dispatch(batch)
+                    else:
+                        dispatch_by_partition_loop(batcher, batch)
+                    ends.append([future_end(request.future) for request in batch])
+                assert ends[0] == ends[1]
+            (batcher, plane), (twin, twin_plane) = twins
+            assert batcher.cache.keys() == twin.cache.keys()
+            for server_id, store in twin_plane.stores.items():
+                assert list(plane.stores[server_id].items()) == list(store.items())
+                assert plane.stores[server_id].nbytes == store.nbytes
+
+        asyncio.run(scenario())
+
     def test_flush_takes_at_most_max_batch(self):
         batcher, __ = build_batcher(max_batch=4)
         for index in range(10):
@@ -365,6 +433,61 @@ class TestAsyncLoop:
             await task
 
         asyncio.run(scenario())
+
+    def test_futures_belong_to_the_running_loop_before_during_and_after_run(
+        self, monkeypatch
+    ):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher, plane = build_batcher(max_batch=4, max_delay=0.001)
+            before = batcher.submit("put", "a", 1)
+            task = loop.create_task(batcher.run())
+            await asyncio.wait_for(before, timeout=5.0)
+            # While run() runs, submit builds on its loop without a lookup.
+            lookups = []
+            monkeypatch.setattr(
+                asyncio, "get_running_loop", lambda: lookups.append(loop) or loop
+            )
+            during = [batcher.submit("get", "a"), batcher.submit("put", "b", 2)]
+            monkeypatch.undo()
+            assert lookups == []
+            await asyncio.wait_for(asyncio.gather(*during), timeout=5.0)
+            batcher.stop()
+            await task
+            after = batcher.submit("delete", "b")
+            assert batcher.drain() == 1
+            futures = [before, *during, after]
+            assert all(future.get_loop() is loop for future in futures)
+            assert [future.result() for future in futures] == [
+                plane.router.route("a"),
+                (True, 1),
+                plane.router.route("b"),
+                True,
+            ]
+
+        asyncio.run(scenario())
+
+    def test_submit_needs_a_running_loop_while_no_flush_loop_runs(self):
+        batcher, __ = build_batcher()
+        with pytest.raises(RuntimeError):
+            batcher.submit("get", "k")
+
+        async def serve_one():
+            loop = asyncio.get_running_loop()
+            task = loop.create_task(batcher.run())
+            await asyncio.sleep(0)
+            future = batcher.submit("get", "k")
+            assert future.get_loop() is loop
+            assert await asyncio.wait_for(future, timeout=5.0) == (False, None)
+            batcher.stop()
+            await task
+
+        # Each run() builds futures on its own loop, and none outlives it.
+        for __ in range(2):
+            asyncio.run(serve_one())
+            with pytest.raises(RuntimeError):
+                batcher.submit("get", "k")
+        assert batcher.pending == 0
 
     def test_run_twice_rejected(self):
         async def scenario():

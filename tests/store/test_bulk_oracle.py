@@ -33,6 +33,7 @@ import pytest
 from repro.hashing import make_table, registered_algorithms
 from repro.service import ClusterRouter, Router
 from repro.store import DataPlane
+from repro.store import store as store_module
 
 #: Constructor overrides keeping the expensive tables test-sized.
 LIGHT_CONFIGS = {
@@ -350,3 +351,53 @@ def test_mixed_batches_match_the_scalar_replay(algorithm, sharded, avoid):
         large[:500],
         [_value(index) for index in range(500)],
     )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_key_by_key_pricing_matches_the_scalar_store_loop(seed, monkeypatch):
+    # A micro-batch's deletes and puts go key by key.  All-numeric
+    # pairs (keys, values and replaced values) are priced at 16 bytes
+    # with no per-object pass, the rest one object at a time; both
+    # must leave every store's bytes where ServerStore.delete/put in
+    # sequence leave them.  Keys mix ints, bools and numpy ints (which
+    # route alike) and repeat; each key's values go from strings to
+    # numbers and back.
+    rng = random.Random(seed)
+    priced = []
+    costs = store_module._costs
+    monkeypatch.setattr(
+        store_module, "_costs", lambda objs: priced.append(len(objs)) or costs(objs)
+    )
+    bulk, scalar = _plane("consistent", False), _plane("consistent", False)
+    kinds = (int, np.int64, np.int32, bool)
+
+    def number(index):
+        kind = rng.choice(kinds)
+        return kind(index % 2) if kind is bool else kind(index)
+
+    numeric_rounds = []
+    for step in range(24):
+        keys = [number(rng.randrange(40)) for __ in range(rng.randint(2, 40))]
+        keys.append(rng.randrange(2, 40))  # the batch routes as integers
+        deletes = keys[: rng.randrange(len(keys))]
+        puts = keys[len(deletes) :] + deletes[:2]
+        if step % 3 == 1:
+            values = ["v{}".format(rng.randrange(10**step)) for __ in puts]
+        else:
+            values = [number(rng.randrange(1_000)) for __ in puts]
+        del priced[:]
+        bulk.serve_batch((), deletes, puts, values)
+        numeric_rounds.append(not priced)
+        owners = scalar.router.assign_batch(deletes + puts).tolist()
+        for key, server_id in zip(deletes, owners):
+            store = scalar.stores.get(server_id)
+            if store is not None and key in store:
+                store.delete(key)
+        for key, value, server_id in zip(puts, values, owners[len(deletes) :]):
+            scalar.store(server_id).put(key, value)
+        assert list(bulk.stores) == list(scalar.stores)
+        for server_id, store in scalar.stores.items():
+            twin = bulk.stores[server_id]
+            assert twin.nbytes == store.nbytes
+            assert list(twin.items()) == list(store.items())
+    assert any(numeric_rounds) and not all(numeric_rounds)
