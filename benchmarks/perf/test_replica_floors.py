@@ -6,24 +6,23 @@ three vectorization targets to absolute floors so the kernels cannot
 quietly regress together with a refreshed baseline:
 
 * ``route_replicas`` must stay batch-vectorized for every algorithm.
-  On the reference container the slowest kernels (multiprobe's probe
-  matrix, weighted's fused group-max) measure 1.0-1.4M keys/s under
-  load and 2-14M keys/s quiet; the pre-vectorization scalar walks
-  measured 40-90k keys/s.  The floor sits at 500k -- far above any
-  scalar fallback, with 2x headroom for a loaded CI machine.
+  On the reference container the slowest kernel (weighted's fused
+  group-max) measures 1.0-1.4M keys/s under load and 2-14M keys/s
+  quiet; the pre-vectorization scalar walks measured 40-90k keys/s.
+  The floor sits at 500k -- far above any scalar fallback, with 2x
+  headroom for a loaded CI machine.
 * Maglev churn must stay within 10x of the ring family's: incremental
   permutation caching plus deferred fill prices a membership event at
   a table refill amortized over the batch, not an eager from-scratch
   build per event.
-* Every registered algorithm must advertise ``replica-batch-native``
-  -- a deterministic, noise-free witness that no algorithm fell back
-  to the scalar dedup loop.
+* Every registered algorithm must override ``_route_batch`` and
+  ``_route_replicas_batch`` -- a deterministic, noise-free witness that
+  no algorithm fell back to the base class's scalar loops.
 """
 
 from __future__ import annotations
 
-from repro.hashing import registered_algorithms
-from repro.hashing.registry import algorithm_entry
+from repro.hashing import DynamicHashTable, registered_algorithms, table_class
 
 #: Absolute floor for batch replica routing, keys/s at the fast profile.
 REPLICA_FLOOR_KEYS_PER_S = 500_000.0
@@ -47,10 +46,10 @@ class TestReplicaThroughputFloors:
 
     def test_every_algorithm_is_replica_batch_native(self):
         missing = [
-            name
+            (name, kernel)
             for name in registered_algorithms()
-            if "replica-batch-native"
-            not in algorithm_entry(name).capabilities
+            for kernel in ("_route_batch", "_route_replicas_batch")
+            if getattr(table_class(name), kernel) is getattr(DynamicHashTable, kernel)
         ]
         assert not missing, missing
 

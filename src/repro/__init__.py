@@ -62,7 +62,6 @@ from .hashing import (
     JumpHashTable,
     MaglevHashTable,
     ModularHashTable,
-    MultiProbeConsistentHashTable,
     RendezvousHashTable,
     VirtualWeightTable,
     WeightedRendezvousHashTable,
@@ -135,7 +134,6 @@ __all__ = [
     "MemoryRegion",
     "MismatchCampaign",
     "ModularHashTable",
-    "MultiProbeConsistentHashTable",
     "PeriodicEncoder",
     "RendezvousHashTable",
     "Router",

@@ -1,19 +1,18 @@
 """Dynamic hash tables: the paper's comparands and extension baselines.
 
-=====================  ==============================================  =======
-Algorithm              Lookup                                          Section
-=====================  ==============================================  =======
-modular                O(1) ``h(r) mod k``                             1
-consistent             O(log k) ring binary search                     2.1
-rendezvous             O(k) highest-random-weight                      2.2
-hd                     HDC inference over circular-hypervectors        3
-jump                   O(log k) stateless jump hash                    ext.
-maglev                 O(1) prime lookup table                         ext.
-weighted-rendezvous    HRW with capacity weights                       ext.
-multiprobe-consistent  O(probes log k), one ring entry per server      ext.
-hierarchical           outer table picks a group, inner a server       ext.
-weighted               any table over weighted virtual members         ext.
-=====================  ==============================================  =======
+===================  ==============================================  =======
+Algorithm            Lookup                                          Section
+===================  ==============================================  =======
+modular              O(1) ``h(r) mod k``                             1
+consistent           O(log k) ring binary search                     2.1
+rendezvous           O(k) highest-random-weight                      2.2
+hd                   HDC inference over circular-hypervectors        3
+jump                 O(log k) stateless jump hash                    ext.
+maglev               O(1) prime lookup table                         ext.
+weighted-rendezvous  HRW with capacity weights                       ext.
+hierarchical         outer table picks a group, inner a server       ext.
+weighted             any table over weighted virtual members         ext.
+===================  ==============================================  =======
 
 All implement :class:`repro.hashing.base.DynamicHashTable`.
 """
@@ -34,7 +33,6 @@ from .hierarchical import HierarchicalConfig, HierarchicalHashTable
 from .jump import JumpHashTable, jump_hash
 from .maglev import MaglevConfig, MaglevHashTable
 from .modular import ModularHashTable
-from .multiprobe import MultiProbeConfig, MultiProbeConsistentHashTable
 from .rendezvous import RendezvousHashTable, WeightedRendezvousHashTable
 from .weighted import VirtualWeightTable, WeightedTableConfig, weighted_table
 
@@ -52,8 +50,6 @@ __all__ = [
     "MaglevConfig",
     "MaglevHashTable",
     "ModularHashTable",
-    "MultiProbeConfig",
-    "MultiProbeConsistentHashTable",
     "RendezvousHashTable",
     "TableConfig",
     "VirtualWeightTable",

@@ -436,9 +436,9 @@ class DynamicHashTable(ABC):
         * **head equals the route**: ``replicas[0]`` is the word's
           :meth:`route_batch` slot for every algorithm and table state.
           On an intact table that is also :meth:`route_word`; on a
-          corrupted consistent ring the ``count`` backend and
-          multi-probe's doubling search read the unsorted ring
-          differently from the scalar binary search (ablation E10).
+          corrupted consistent ring the ``count`` backend reads the
+          unsorted ring differently from the scalar binary search
+          (ablation E10).
         * **pure function of (word, state)**: a row depends only on its
           word and the table -- not on the other words of a batch nor
           their order -- so batch (:meth:`route_replicas_batch`) and

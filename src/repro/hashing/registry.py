@@ -77,13 +77,6 @@ class AlgorithmEntry:
         ``weighted``
             :meth:`~DynamicHashTable.join` accepts per-server capacity
             weights.
-        ``batch-native``
-            vectorized :meth:`~DynamicHashTable._route_batch` kernel
-            (not the scalar-loop default).
-        ``replica-native`` / ``replica-batch-native``
-            the class's own vectorized
-            :meth:`~DynamicHashTable._route_replicas_batch` kernel, which
-            scalar replica routes read too (abstract: every table has one).
         ``churn-incremental``
             the class's membership hooks are its own array-level bulk
             kernel (:meth:`~DynamicHashTable._join_many` /
@@ -105,31 +98,22 @@ class AlgorithmEntry:
 
         All flags are derived from which protocol methods the class
         actually overrides, so they stay truthful as kernels land --
-        nothing here is hand-maintained per algorithm.  A class that
-        overrides the delta kernels only to *opt out* (multi-probe's
-        best-probe placement breaks the single-score contract) marks
-        the override with ``delta_opt_out`` and is not flagged.
+        nothing here is hand-maintained per algorithm.  The vectorized
+        ``_route_batch`` and ``_route_replicas_batch`` kernels are not
+        flags: every built-in entry has both.
         """
         flags = []
         if getattr(self.cls, "supports_weights", False):
             flags.append("weighted")
-        if self.cls._route_batch is not DynamicHashTable._route_batch:
-            flags.append("batch-native")
-        if (
-            self.cls._route_replicas_batch
-            is not DynamicHashTable._route_replicas_batch
-        ):
-            flags.extend(("replica-native", "replica-batch-native"))
         if (
             self.cls._join_many is not DynamicHashTable._join_many
             or self.cls._leave_many is not DynamicHashTable._leave_many
         ):
             flags.append("churn-incremental")
-        scores_kernel = self.cls._delta_scores
-        opted_out = getattr(scores_kernel, "delta_opt_out", False)
-        scored = scores_kernel is not DynamicHashTable._delta_scores and not opted_out
-        positioned = self.cls._route_positions is not DynamicHashTable._route_positions
-        if scored or positioned:
+        if (
+            self.cls._delta_scores is not DynamicHashTable._delta_scores
+            or self.cls._route_positions is not DynamicHashTable._route_positions
+        ):
             flags.append("delta-close")
         return tuple(flags)
 

@@ -1,8 +1,9 @@
 """Weight-by-virtual-multiplicity: heterogeneous capacity for any table.
 
 Only weighted rendezvous carries per-server capacity weights natively
-(the ``-w / ln U`` logarithm method); the other algorithms treat every
-server as one slot.  Production fleets are heterogeneous, so this module
+(the ``-w / ln U`` logarithm method, which routes exactly like plain
+rendezvous at unit weights); the other algorithms treat every server as
+one slot.  Production fleets are heterogeneous, so this module
 provides the generic fallback: :class:`VirtualWeightTable` wraps any
 registered algorithm and realises a server of weight ``w`` as
 ``round(w * virtual_base)`` *virtual members* of the inner table, all
@@ -34,8 +35,8 @@ The wrapper registers as ``"weighted"``::
     table.join("big-box", weight=4.0)
 
 :func:`weighted_table` picks the cheapest capable construction for a
-spec: the algorithm itself when it is weight-native, the wrapper
-otherwise.
+spec: the algorithm itself when it is weight-native, weighted rendezvous
+for rendezvous, the wrapper otherwise.
 """
 
 from __future__ import annotations
@@ -470,9 +471,13 @@ def weighted_table(
 ) -> DynamicHashTable:
     """A weight-capable table for ``algorithm``, cheapest capable form.
 
-    Weight-native algorithms are constructed directly; everything else
-    is wrapped in a :class:`VirtualWeightTable`.
+    Weight-native algorithms are constructed directly, and rendezvous
+    becomes weighted rendezvous (its logarithm method needs no virtual
+    members); everything else is wrapped in a
+    :class:`VirtualWeightTable`.
     """
+    if algorithm == "rendezvous":
+        algorithm = "weighted-rendezvous"
     entry = algorithm_entry(algorithm)
     if getattr(entry.cls, "supports_weights", False):
         return make_table(algorithm, seed=seed, **config)

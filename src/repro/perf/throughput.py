@@ -311,9 +311,9 @@ def measure_algorithm(
 
     # Three repeats, not the profile's count: at a million tracked keys
     # the block is seconds of array-wide sweeps for full-recompute
-    # algorithms (multiprobe's probe cascade most of all), and bulk
-    # sweeps don't scatter like the microsecond-scale mutation blocks
-    # the higher repeat counts exist to stabilize.
+    # algorithms, and bulk sweeps don't scatter like the
+    # microsecond-scale mutation blocks the higher repeat counts exist
+    # to stabilize.
     time_block(
         "epoch_close",
         2 * profile.epoch_close_keys,

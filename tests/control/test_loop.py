@@ -53,7 +53,7 @@ class TestConstruction:
             )
 
     def test_bootstrap_threads_weights(self):
-        loop, __ = _stack()
+        loop, __ = _stack(algorithm="weighted")
         assert loop.router.table.weight_of("s2") == 4.0
         assert set(loop.router.server_ids) == {"s0", "s1", "s2", "s3"}
 

@@ -101,11 +101,11 @@ class TestFleetState:
 
     def test_members_flow_into_router_sync(self):
         """Specs are accepted by Router.sync verbatim, weights threaded."""
-        from repro.hashing import weighted_table
+        from repro.hashing import make_table
         from repro.service import Router
 
         fleet = self._fleet()
-        router = Router(weighted_table("rendezvous", seed=1))
+        router = Router(make_table("weighted", algorithm="rendezvous", seed=1))
         router.sync(fleet.members())
         assert set(router.server_ids) == {"a", "b", "c"}
         assert router.table.weight_of("c") == 4.0

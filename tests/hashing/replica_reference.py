@@ -8,8 +8,6 @@ batch rows against something the kernels do not share:
 
 * consistent: the next ``k`` distinct servers clockwise from the
   word's ring successor (``_successor_index``);
-* multiprobe-consistent: the same walk from the winning probe's ring
-  entry (``_best_probe_index``);
 * modular: successive hash buckets through the slot indirection;
 * maglev: a forward scan of the lookup table;
 * hd: the ``k`` nearest item-memory rows by brute-force Hamming
@@ -38,7 +36,6 @@ from repro.hashing import (
     JumpHashTable,
     MaglevHashTable,
     ModularHashTable,
-    MultiProbeConsistentHashTable,
     RendezvousHashTable,
     VirtualWeightTable,
     WeightedRendezvousHashTable,
@@ -124,8 +121,6 @@ def _weighted(table, word, k):
 
 def _replicas(table, word, k):
     count = table.server_count
-    if isinstance(table, MultiProbeConsistentHashTable):
-        return _scan(table._ring_slots, table._best_probe_index(word), k, count)
     if isinstance(table, ConsistentHashTable):
         return _scan(table._ring_slots, table._successor_index(word), k, count)
     if isinstance(table, ModularHashTable):

@@ -1,6 +1,5 @@
-"""Tests for hierarchical composition and multi-probe consistent hashing."""
+"""Tests for hierarchical composition."""
 
-import numpy as np
 import pytest
 
 from repro.errors import EmptyTableError
@@ -8,7 +7,6 @@ from repro.hashing import (
     ConsistentHashTable,
     HDHashTable,
     HierarchicalHashTable,
-    MultiProbeConsistentHashTable,
 )
 
 from ..conftest import populate
@@ -133,54 +131,3 @@ class TestHierarchicalMemory:
         assert any(name.startswith("group") for name in names)
         assert len(names) == len(set(names))
 
-
-class TestMultiProbe:
-    def test_route_in_pool(self, request_words):
-        table = populate(MultiProbeConsistentHashTable(seed=3), 16)
-        slots = table.route_batch(request_words)
-        assert slots.min() >= 0 and slots.max() < 16
-
-    def test_scalar_matches_batch(self, request_words):
-        table = populate(MultiProbeConsistentHashTable(seed=3), 16)
-        words = request_words[:200]
-        batch = table.route_batch(words)
-        scalar = [table.route_word(int(word)) for word in words]
-        assert batch.tolist() == scalar
-
-    def test_more_uniform_than_plain_consistent(self):
-        from repro.analysis import uniformity_chi2
-
-        words = np.random.default_rng(9).integers(
-            0, 2 ** 64, 50_000, dtype=np.uint64
-        )
-        plain = populate(ConsistentHashTable(seed=4), 32)
-        multi = populate(MultiProbeConsistentHashTable(seed=4, probes=21), 32)
-        chi_plain = uniformity_chi2(plain.route_batch(words), 32)
-        chi_multi = uniformity_chi2(multi.route_batch(words), 32)
-        assert chi_multi < chi_plain / 2
-
-    def test_more_probes_more_uniform(self):
-        from repro.analysis import uniformity_chi2
-
-        words = np.random.default_rng(10).integers(
-            0, 2 ** 64, 40_000, dtype=np.uint64
-        )
-        few = populate(MultiProbeConsistentHashTable(seed=5, probes=2), 32)
-        many = populate(MultiProbeConsistentHashTable(seed=5, probes=32), 32)
-        chi_few = uniformity_chi2(few.route_batch(words), 32)
-        chi_many = uniformity_chi2(many.route_batch(words), 32)
-        assert chi_many < chi_few
-
-    def test_minimal_disruption_on_leave(self, request_words):
-        table = populate(MultiProbeConsistentHashTable(seed=6), 16)
-        ids = np.asarray(table.server_ids, dtype=object)
-        before = ids[table.route_batch(request_words)]
-        table.leave(3)
-        ids_after = np.asarray(table.server_ids, dtype=object)
-        after = ids_after[table.route_batch(request_words)]
-        moved = before != after
-        assert np.all(before[moved] == 3)
-
-    def test_invalid_probes(self):
-        with pytest.raises(ValueError):
-            MultiProbeConsistentHashTable(probes=0)

@@ -36,7 +36,6 @@ class TestRegistryContents:
             "jump",
             "maglev",
             "weighted-rendezvous",
-            "multiprobe-consistent",
             "hierarchical",
             "weighted",
         }
@@ -70,17 +69,14 @@ class TestCapabilityFlags:
         assert flagged == {
             "modular",
             "consistent",
-            "multiprobe-consistent",
             "rendezvous",
             "weighted-rendezvous",
             "hierarchical",
         }
 
     def test_delta_close_coverage(self):
-        # Derived from the delta-scoped score kernels.  Multi-probe
-        # *overrides* the kernels it inherits from the ring -- but only
-        # to opt out (best-probe placement breaks the one-score-per-key
-        # contract), so the flag must not leak through the override.
+        # Derived from the delta-scoped score kernels and the position
+        # route: an override of either is the flag.
         flagged = {
             name
             for name in registered_algorithms()
@@ -137,13 +133,15 @@ class TestSpecsAndErrors:
             make_table("quantum")
 
     def test_deleted_entry_is_unknown(self):
-        # bounded-consistent routed every word like consistent and was
-        # deleted, not mapped onto consistent.
-        with pytest.raises(UnknownAlgorithmError) as raised:
-            make_table("bounded-consistent")
-        message = str(raised.value)
-        for name in registered_algorithms():
-            assert name in message
+        # bounded-consistent routed every word like consistent, and
+        # multiprobe-consistent lost to rendezvous on balance, speed and
+        # churn; both were deleted, not mapped onto another entry.
+        for deleted in ("bounded-consistent", "multiprobe-consistent"):
+            with pytest.raises(UnknownAlgorithmError) as raised:
+                make_table(deleted)
+            message = str(raised.value)
+            for name in registered_algorithms():
+                assert name in message
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(TypeError, match="modular"):

@@ -1,8 +1,8 @@
 """The vectorized replica walks against a per-key reference.
 
-The walk-based replica kernels (consistent, multiprobe, modular and
-maglev over :meth:`~repro.hashing.base.DynamicHashTable._walk_distinct_batch`,
-and the weighted wrapper's fused group-max) are checked row by row against
+The walk-based replica kernels (consistent, modular and maglev over
+:meth:`~repro.hashing.base.DynamicHashTable._walk_distinct_batch`, and
+the weighted wrapper's fused group-max) are checked row by row against
 the per-key walks of ``replica_reference``.  The general replica
 contract is covered by ``test_replica_property``; this module stresses
 the walk-specific hazards with denser sampling:
@@ -24,7 +24,6 @@ from .replica_reference import reference_replicas
 
 WALK_ALGORITHMS = [
     "consistent",
-    "multiprobe-consistent",
     "modular",
     "maglev",
     "weighted",

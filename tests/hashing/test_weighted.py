@@ -17,7 +17,9 @@ from repro.analysis import chi_squared_statistic, summarize_loads
 from repro.errors import DuplicateServerError, WeightError
 from repro.hashing import (
     VirtualWeightTable,
+    WeightedRendezvousHashTable,
     make_table,
+    registered_algorithms,
     weighted_table,
 )
 from repro.service import MembershipUpdate, Router
@@ -29,6 +31,12 @@ _CHI2_999 = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52, 6: 22.46}
 _VNODE_SLACK = 6.0
 
 _WEIGHTS = {"small": 1.0, "medium": 2.0, "large": 4.0}
+
+#: Demo-scale config overrides for the registry-wide tests.
+_LIGHT_CONFIGS = {
+    "hd": {"dim": 1_024, "codebook_size": 128},
+    "maglev": {"table_size": 509},
+}
 
 
 def _weighted_counts(table, n_keys, seed=0):
@@ -89,7 +97,9 @@ class TestWeightedRendezvousOwnership:
 class TestVirtualMultiplicityOwnership:
     @pytest.mark.parametrize("algorithm", ["rendezvous", "modular", "jump"])
     def test_fallback_ownership_tracks_weights(self, algorithm):
-        table = weighted_table(algorithm, seed=7, virtual_base=32)
+        table = make_table(
+            "weighted", algorithm=algorithm, seed=7, virtual_base=32
+        )
         assert isinstance(table, VirtualWeightTable)
         for server_id, weight in _WEIGHTS.items():
             table.join(server_id, weight=weight)
@@ -121,12 +131,17 @@ class TestVirtualMultiplicityOwnership:
 
 class TestVirtualWeightContract:
     def test_weight_native_algorithms_construct_directly(self):
-        table = weighted_table("weighted-rendezvous", seed=1)
-        assert table.name == "weighted-rendezvous"
-        assert not isinstance(table, VirtualWeightTable)
+        # Rendezvous's weight-capable form is weighted rendezvous, which
+        # routes exactly like it at unit weights: no virtual members.
+        for algorithm in ("weighted-rendezvous", "rendezvous"):
+            table = weighted_table(algorithm, seed=1)
+            assert table.name == "weighted-rendezvous"
+            assert not isinstance(table, VirtualWeightTable)
 
     def test_multiplicity_scales_with_weight(self):
-        table = weighted_table("rendezvous", seed=1, virtual_base=8)
+        table = make_table(
+            "weighted", algorithm="rendezvous", seed=1, virtual_base=8
+        )
         table.join("a", weight=1.0)
         table.join("b", weight=2.5)
         assert table.inner.server_count == 8 + 20
@@ -134,7 +149,7 @@ class TestVirtualWeightContract:
         assert table.inner.server_count == 8
 
     def test_bad_weights_rejected(self):
-        table = weighted_table("rendezvous", seed=1)
+        table = make_table("weighted", algorithm="rendezvous", seed=1)
         with pytest.raises(ValueError):
             table.join("a", weight=0.0)
         table.join("a")
@@ -172,7 +187,7 @@ class TestVirtualWeightContract:
         from repro.hashing.base import DynamicHashTable
         from repro.service.snapshot import dumps_state, loads_state
 
-        table = weighted_table("rendezvous", seed=5)
+        table = make_table("weighted", algorithm="rendezvous", seed=5)
         for server_id, weight in _WEIGHTS.items():
             table.join(server_id, weight=weight)
         words = np.random.default_rng(3).integers(
@@ -185,6 +200,27 @@ class TestVirtualWeightContract:
         assert np.array_equal(
             restored.lookup_words(words), table.lookup_words(words)
         )
+
+
+@pytest.mark.parametrize("name", registered_algorithms())
+def test_weighted_table_is_weight_capable_for_every_entry(name):
+    table = weighted_table(name, seed=3, **_LIGHT_CONFIGS.get(name, {}))
+    assert table.supports_weights
+    if name in ("rendezvous", "weighted-rendezvous"):
+        assert type(table) is WeightedRendezvousHashTable
+    else:
+        assert type(table) is VirtualWeightTable
+    for index, weight in enumerate((1.0, 2.0, 4.0) * 2):
+        table.join("srv-{}".format(index), weight=weight)
+    words = np.random.default_rng(5).integers(
+        0, 2**64, 20_000, dtype=np.uint64
+    )
+    owners = table.lookup_words(words).tolist()
+    light = owners.count("srv-0") + owners.count("srv-3")
+    heavy = owners.count("srv-2") + owners.count("srv-5")
+    # Weight 4 against weight 1 owns about 4x the keys (3.7-7.0x over
+    # the entries); a weight-blind table would own about as many.
+    assert heavy > 2 * light
 
 
 class TestRouterWeightThreading:

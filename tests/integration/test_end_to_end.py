@@ -236,10 +236,11 @@ class TestLiveMigrationInvariant:
 class TestWeightedDrainInvariant:
     """The PR-5 acceptance invariant, on a heterogeneous fleet.
 
-    For every registered algorithm (weight-native weighted-rendezvous,
-    the other nine through the virtual-multiplicity wrapper): on a
-    fleet with weights {1, 2, 4}, gracefully draining the heaviest
-    server through the ControlLoop
+    For every registered algorithm but the wrapper itself (rendezvous
+    and weighted-rendezvous weighted natively, the other six through
+    the virtual-multiplicity wrapper): on a fleet with weights
+    {1, 2, 4}, gracefully draining the heaviest server through the
+    ControlLoop
 
     * moves exactly the keys the leave epoch remaps (plan size ==
       epoch remap count, bit-exact),
@@ -332,23 +333,27 @@ class TestWeightedDrainInvariant:
         assert statistic < self.CHI2_LIMIT, (name, counts)
 
     def test_minimally_disruptive_drain_is_minimal(self):
-        """For rendezvous (wrapped), the drain plan is ~exactly the
-        drained server's keys -- no collateral movement."""
+        """For rendezvous, weighted natively or wrapped, the drain plan
+        is exactly the drained server's keys -- no collateral movement."""
         from repro.control import ControlLoop, FleetState, ServerSpec
-        from repro.hashing import weighted_table
+        from repro.hashing import make_table, weighted_table
         from repro.service import Router
         from repro.store import DataPlane
 
-        fleet = FleetState(
-            ServerSpec(server_id, weight=weight)
-            for server_id, weight in self.WEIGHTS.items()
-        )
-        router = Router(weighted_table("rendezvous", seed=13))
-        plane = DataPlane(router)
-        loop = ControlLoop(router, plane, fleet)
-        loop.bootstrap()
-        keys = np.arange(self.N_KEYS, dtype=np.int64)
-        plane.put_many(keys, keys)
-        drained_keys = len(plane.store("w4"))
-        report = loop.drain("w4")
-        assert report.plan.total_keys == drained_keys
+        for table in (
+            weighted_table("rendezvous", seed=13),
+            make_table("weighted", algorithm="rendezvous", seed=13),
+        ):
+            fleet = FleetState(
+                ServerSpec(server_id, weight=weight)
+                for server_id, weight in self.WEIGHTS.items()
+            )
+            router = Router(table)
+            plane = DataPlane(router)
+            loop = ControlLoop(router, plane, fleet)
+            loop.bootstrap()
+            keys = np.arange(self.N_KEYS, dtype=np.int64)
+            plane.put_many(keys, keys)
+            drained_keys = len(plane.store("w4"))
+            report = loop.drain("w4")
+            assert report.plan.total_keys == drained_keys, table.name

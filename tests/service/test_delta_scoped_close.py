@@ -15,7 +15,7 @@ contents: same keys, same sources, same destinations, same order.
 import numpy as np
 import pytest
 
-from repro.hashing import make_table
+from repro.hashing import RendezvousHashTable, make_table
 from repro.hashing.base import DynamicHashTable
 from repro.hashing.registry import algorithm_entry, registered_algorithms
 from repro.memory import BurstError, FaultInjector, SingleBitFlips
@@ -230,16 +230,34 @@ class TestScopedCloseIsActuallyScoped:
             assert calls == [delta.moved]  # exactly the departed slice
 
     def test_opted_out_algorithm_falls_back_to_full_recompute(self):
-        # Multi-probe overrides the kernels only to opt out; a named
-        # close must quietly take the full path and stay correct.
-        table = light_table("multiprobe-consistent")
+        # The kernels may return ``None`` mid-epoch: a table that caches
+        # winning scores but declines the joiner's challenge column must
+        # make a named close quietly take the full path, bit-exact.
+        class DecliningRendezvous(RendezvousHashTable):
+            def _delta_challenge(self, server_id, words):
+                return None
+
+        table = DecliningRendezvous(seed=5)
         fill(table)
-        fast, full = tracker_pair(table)
-        assert fast._scores is None
+        calls = []
+
+        def counting_lookup(words):
+            calls.append(words.size)
+            return table.lookup_words(words)
+
+        keys = np.arange(4_096, dtype=np.int64)
+        words = table.words_of_keys(keys)
+        fast = DeltaTracker(counting_lookup, table=table)
+        full = DeltaTracker(table.lookup_words)
+        fast.track(keys, words)
+        full.track(keys.copy(), words.copy())
+        assert fast._scores is not None  # the score path is armed
+        calls.clear()
         table.join("newcomer")
-        assert_deltas_identical(
-            fast.close(joined=["newcomer"]), full.close(joined=["newcomer"])
-        )
+        delta = fast.close(joined=["newcomer"])
+        assert delta.moved > 0
+        assert calls == [keys.size]  # the whole tracked slice re-routed
+        assert_deltas_identical(delta, full.close(joined=["newcomer"]))
 
     @pytest.mark.parametrize("name", DELTA_ALGORITHMS)
     def test_anonymous_close_still_full_and_exact(self, name):

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import REGISTRY, main
+from repro.hashing import DynamicHashTable, registered_algorithms, table_class
 
 
 class TestList:
@@ -195,10 +196,23 @@ class TestAlgorithmsListing:
         assert "weighted" in lines["weighted-rendezvous"]
         assert "weighted," in lines["weighted"]
         assert "weighted" not in lines["modular"].split("]")[1].split("]")[0]
-        # Every registered algorithm advertises its batch/replica paths.
+        # One line per entry, flags drawn from three.  Batch and replica
+        # kernels are not flags: every registered class has its own.
+        assert set(lines) == set(registered_algorithms())
         for name, line in lines.items():
-            assert "batch-native" in line
-            assert "replica-native" in line
+            flags = line.split("[")[2].split("]")[0].split()[0]
+            assert set(flags.split(",")) <= {
+                "-",
+                "weighted",
+                "churn-incremental",
+                "delta-close",
+            }, name
+            cls = table_class(name)
+            assert cls._route_batch is not DynamicHashTable._route_batch
+            assert (
+                cls._route_replicas_batch
+                is not DynamicHashTable._route_replicas_batch
+            )
         # Membership/epoch kernels surface as derived flags too: bulk
         # join/leave kernels and the delta-scoped epoch-close kernels.
         assert "churn-incremental" in lines["rendezvous"]
@@ -206,9 +220,6 @@ class TestAlgorithmsListing:
         assert "churn-incremental" not in lines["weighted"]
         assert "delta-close" in lines["weighted"]
         assert "delta-close" in lines["hd"]
-        # Multi-probe overrides the delta kernels only to opt out.
-        assert "churn-incremental" in lines["multiprobe-consistent"]
-        assert "delta-close" not in lines["multiprobe-consistent"]
         assert "churn-incremental" not in lines["maglev"]
 
 
