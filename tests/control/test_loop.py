@@ -13,7 +13,7 @@ from repro.control import (
     UtilizationPolicy,
 )
 from repro.errors import StateError
-from repro.hashing import make_table, weighted_table
+from repro.hashing import make_table, registered_algorithms, weighted_table
 from repro.service import Router
 from repro.store import DataPlane
 
@@ -194,10 +194,10 @@ class TestTick:
                 break
         return grown, peak, shrunk, misses, loop, kept
 
-    @pytest.mark.parametrize("algorithm", ["weighted-rendezvous", "modular"])
+    @pytest.mark.parametrize("algorithm", registered_algorithms())
     def test_fleet_follows_load_up_and_down(self, algorithm):
-        """On a weight-native table and on a weight-blind one at unit
-        weights, a burst admits servers and deleting it drains them."""
+        """On every registered table at unit weights, a burst admits
+        servers and deleting it drains them."""
         grown, peak, shrunk, misses, loop, kept = self._load_curve(algorithm)
         assert grown.admitted and grown.moved_keys > 0
         assert peak == 2 + len(grown.admitted)

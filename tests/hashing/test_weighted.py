@@ -18,6 +18,7 @@ from repro.errors import DuplicateServerError, WeightError
 from repro.hashing import (
     VirtualWeightTable,
     WeightedRendezvousHashTable,
+    algorithm_entry,
     make_table,
     registered_algorithms,
     weighted_table,
@@ -37,6 +38,15 @@ _LIGHT_CONFIGS = {
     "hd": {"dim": 1_024, "codebook_size": 128},
     "maglev": {"table_size": 509},
 }
+
+#: The entries the wrapper holds virtual members in: every one without
+#: native weights (``weighted_table`` wraps them; rendezvous is the
+#: wrapper's default inner table).
+_WRAPPED = [
+    name
+    for name in registered_algorithms()
+    if "weighted" not in algorithm_entry(name).capabilities
+]
 
 
 def _weighted_counts(table, n_keys, seed=0):
@@ -163,8 +173,10 @@ class TestVirtualWeightContract:
         with pytest.raises(ValueError):
             make_table("weighted", algorithm="weighted")
 
-    def test_batch_matches_scalar_and_replicas_distinct(self):
-        table = weighted_table("consistent", seed=5, replicas=4)
+    @pytest.mark.parametrize("name", registered_algorithms())
+    def test_batch_matches_scalar_and_replicas_distinct(self, name):
+        config = dict(_LIGHT_CONFIGS, consistent={"replicas": 4})
+        table = weighted_table(name, seed=5, **config.get(name, {}))
         for server_id, weight in _WEIGHTS.items():
             table.join(server_id, weight=weight)
         words = np.random.default_rng(2).integers(
@@ -183,11 +195,17 @@ class TestVirtualWeightContract:
                 replicas[row], table.route_word_replicas(int(words[row]), 3)
             )
 
-    def test_snapshot_roundtrip_preserves_weights_and_routing(self):
+    @pytest.mark.parametrize("inner", _WRAPPED)
+    def test_snapshot_roundtrip_preserves_weights_and_routing(self, inner):
         from repro.hashing.base import DynamicHashTable
         from repro.service.snapshot import dumps_state, loads_state
 
-        table = make_table("weighted", algorithm="rendezvous", seed=5)
+        table = make_table(
+            "weighted",
+            algorithm=inner,
+            seed=5,
+            config=_LIGHT_CONFIGS.get(inner, {}),
+        )
         for server_id, weight in _WEIGHTS.items():
             table.join(server_id, weight=weight)
         words = np.random.default_rng(3).integers(

@@ -2,20 +2,26 @@
 
 ``Router`` and ``ClusterRouter`` share one serving surface: reads fail
 over around avoided servers, writes land at the assigned owner.  Every
-test runs on a plain router and on a 3-shard cluster, over every
-registered algorithm.
+test runs on a plain router, on a 3-shard cluster and on the weighted
+fleet ``repro control`` serves (``weighted_table``, weights 1, 2 and
+4), over every registered algorithm.
 """
 
 import pytest
 
+from repro.control import ServerSpec
 from repro.errors import EmptyTableError, UnknownServerError
-from repro.hashing import make_table, registered_algorithms
+from repro.hashing import make_table, registered_algorithms, weighted_table
 from repro.service import ClusterRouter, Router, RouterObserver
 
 #: Light configs so the suite stays fast.
 LIGHT_CONFIG = {"hd": {"dim": 1_024, "codebook_size": 128}}
 CONFIGS = {name: LIGHT_CONFIG.get(name, {}) for name in registered_algorithms()}
 FLEET = ("a", "b", "c", "d", "e", "f")
+WEIGHTED_FLEET = [
+    ServerSpec(server_id, weight=weight)
+    for server_id, weight in zip(FLEET, (1.0, 2.0, 4.0) * 2)
+]
 KEYS = list(range(400))
 
 
@@ -28,14 +34,22 @@ def sharded(algorithm):
     return ClusterRouter(spec, n_shards=3, seed=8)
 
 
+def weighted(algorithm):
+    return Router(weighted_table(algorithm, seed=8, **CONFIGS[algorithm]))
+
+
 @pytest.fixture(
-    params=[(build, algorithm) for build in (plain, sharded) for algorithm in CONFIGS],
+    params=[
+        (build, algorithm)
+        for build in (plain, sharded, weighted)
+        for algorithm in CONFIGS
+    ],
     ids=lambda param: "{}-{}".format(param[0].__name__, param[1]),
 )
 def router(request):
     build, algorithm = request.param
     router = build(algorithm)
-    router.sync(FLEET)
+    router.sync(WEIGHTED_FLEET if build is weighted else FLEET)
     return router
 
 
